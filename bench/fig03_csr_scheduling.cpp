@@ -1,6 +1,12 @@
 // Fig 3 reproduction: speedup (always <= 1) of CSR with each scheduling
 // policy, and of the MKL stand-in, over the best CSR scheduling per matrix
 // — plus the paper's count of which policy wins how many matrices.
+//
+// CSR runs over nnz-balanced execution plans (src/spmv/plan.hpp), and with
+// plans CSR/St and CSR/StCont run identical blocks: one contiguous run per
+// thread. The paper's §2.1 round-robin St (K rows at a time, dealt
+// cyclically) is not reproduced, so the St and StCont columns differ only
+// by timing noise and their win counts split between them.
 
 #include <cstdio>
 #include <map>

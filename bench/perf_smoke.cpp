@@ -29,6 +29,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -229,7 +230,10 @@ int main(int argc, char** argv) {
   // schedule(static)'s equal *row* split leaves one thread holding the hub
   // rows. rmat-hs is exactly that shape; the CI validate step gates
   // plan_vs_static_speedup >= 1.15 at OMP_NUM_THREADS=2 (timings stay
-  // informational locally — see the header comment).
+  // informational locally — see the header comment). The static side runs
+  // the same spmv_csr kernel over an unspecialized plan balanced by *row
+  // count* (prefix 0, 1, ..., n) with one block per thread: exactly
+  // schedule(static)'s contiguous equal-row split, with the same row loop.
   std::printf("[perf_smoke] execution plan vs schedule(static) (rmat-hs)...\n");
   {
     const CsrMatrix& m = suite[0].m;  // rmat-hs: the skew plans exist for
@@ -241,11 +245,25 @@ int main(int argc, char** argv) {
     const int iters = quick ? 10 : 50;
     const int threads = omp_get_max_threads();
     const SpmvPlan plan = build_csr_plan(m, Schedule::kStCont, threads);
+    std::vector<nnz_t> row_count(static_cast<std::size_t>(m.nrows()) + 1);
+    std::iota(row_count.begin(), row_count.end(), nnz_t{0});
+    const SpmvPlan static_split = build_balanced_plan(row_count, threads);
     const double gflop = 2.0 * static_cast<double>(m.nnz()) / 1e9;
 
-    spmv_csr(m, x, y, Schedule::kStCont);  // warm-up
-    const auto legacy = time_passes(kernel_passes, iters, [&] {
-      spmv_csr(m, x, y, Schedule::kStCont);
+    // Self-check: the partition must never change the bits.
+    std::vector<value_t> y_static(y.size()), y_plan(y.size());
+    spmv_csr(m, x, y_static, Schedule::kStCont, static_split);
+    spmv_csr(m, x, y_plan, Schedule::kStCont, plan);
+    if (y_static != y_plan) {
+      std::fprintf(stderr,
+                   "[perf_smoke] FAIL: plan not bit-identical to the static "
+                   "split on rmat-hs\n");
+      return 1;
+    }
+
+    spmv_csr(m, x, y, Schedule::kStCont, static_split);  // warm-up
+    const auto static_t = time_passes(kernel_passes, iters, [&] {
+      spmv_csr(m, x, y, Schedule::kStCont, static_split);
       do_not_optimize(y.data());
     });
     spmv_csr(m, x, y, Schedule::kStCont, plan);  // warm-up
@@ -258,15 +276,15 @@ int main(int argc, char** argv) {
     params.set("threads", static_cast<std::int64_t>(threads));
     params.set("plan_blocks", static_cast<std::int64_t>(plan.num_blocks()));
     params.set("plan_bytes", static_cast<std::int64_t>(plan.memory_bytes()));
-    params.set("gflops_static", gflop / legacy.min_seconds);
+    params.set("gflops_static", gflop / static_t.min_seconds);
     params.set("gflops_plan", gflop / planned.min_seconds);
     params.set("plan_vs_static_speedup",
-               legacy.min_seconds / planned.min_seconds);
-    report.add("plan", "csr_static/rmat-hs", legacy, params);
+               static_t.min_seconds / planned.min_seconds);
+    report.add("plan", "csr_static/rmat-hs", static_t, params);
     report.add("plan", "csr_plan/rmat-hs", planned, std::move(params));
     std::printf("[perf_smoke] plan: %d blocks, plan vs static %.2fx\n",
                 static_cast<int>(plan.num_blocks()),
-                legacy.min_seconds / planned.min_seconds);
+                static_t.min_seconds / planned.min_seconds);
   }
 
   // --- Stage 4: specialized kernel variants vs generic plan ---------------
@@ -365,8 +383,8 @@ int main(int argc, char** argv) {
       const SrvPlan spec =
           build_srv_plan(p, Schedule::kStCont, threads, /*specialize=*/true);
       SrvWorkspace ws;
-      spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, &generic);
-      spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, &spec);
+      spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, generic);
+      spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, spec);
       if (y_generic != y_spec) {
         std::fprintf(stderr,
                      "[perf_smoke] FAIL: specialized SRVPack plan not "
@@ -376,11 +394,11 @@ int main(int argc, char** argv) {
       const auto [gen_t, spec_t] = time_passes_interleaved(
           kernel_passes, iters,
           [&] {
-            spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, &generic);
+            spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, generic);
             do_not_optimize(y_generic.data());
           },
           [&] {
-            spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, &spec);
+            spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, spec);
             do_not_optimize(y_spec.data());
           });
       obs::JsonValue params = matrix_params(m);

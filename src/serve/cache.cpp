@@ -55,9 +55,7 @@ void ChoiceCache::put(const Fingerprint& fp, const WiseChoice& choice) {
 }
 
 std::size_t prepared_entry_bytes(const CsrMatrix& m, const PreparedMatrix& pm) {
-  std::size_t bytes = m.memory_bytes() + pm.plan_bytes();
-  if (pm.config().kind != MethodKind::kCsr) bytes += pm.memory_bytes();
-  return bytes;
+  return m.memory_bytes() + pm.owned_bytes();
 }
 
 PreparedCache::PreparedCache(std::size_t budget_bytes) : map_(budget_bytes) {

@@ -104,11 +104,10 @@ struct PreparedEntry {
   std::uint64_t bank_version = 0;
 };
 
-/// Actual footprint an entry is charged: the owned CSR plus, for converted
-/// (non-CSR) layouts, the converted representation, plus the precomputed
-/// execution plan (spmv/plan.hpp) the prepared kernel runs over. CSR
-/// entries are not double-counted (their PreparedMatrix references the
-/// same arrays).
+/// Actual footprint an entry is charged: the owned CSR plus what the
+/// PreparedMatrix owns beyond it (PreparedMatrix::owned_bytes — the
+/// converted layout, if any, and the execution plan). CSR entries are not
+/// double-counted (their PreparedMatrix references the same arrays).
 std::size_t prepared_entry_bytes(const CsrMatrix& m, const PreparedMatrix& pm);
 
 /// Tier 2: fingerprint → shared PreparedEntry, bounded by a byte budget.

@@ -3,13 +3,19 @@
 #include <cmath>
 #include <stdexcept>
 
+#include <omp.h>
+
 #include "spmv/csr_kernels.hpp"
 
 namespace wise {
 
 SpmvOperator make_csr_operator(const CsrMatrix& m) {
-  return [&m](std::span<const value_t> x, std::span<value_t> y) {
-    spmv_csr(m, x, y, Schedule::kStCont);
+  // Built once per operator. Unspecialized, so every row runs the generic
+  // row loop, one contiguous nnz-balanced block per thread.
+  return [&m, plan = build_csr_plan(m, Schedule::kStCont, omp_get_max_threads(),
+                                    /*specialize=*/false)](
+             std::span<const value_t> x, std::span<value_t> y) {
+    spmv_csr(m, x, y, Schedule::kStCont, plan);
   };
 }
 
@@ -17,14 +23,11 @@ namespace blas {
 
 double dot(std::span<const value_t> a, std::span<const value_t> b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  double sum = 0;
   const auto n = static_cast<std::int64_t>(a.size());
-#pragma omp parallel for schedule(static) reduction(+ : sum)
-  for (std::int64_t i = 0; i < n; ++i) {
-    sum += static_cast<double>(a[static_cast<std::size_t>(i)]) *
+  return ordered_sum(n, [&](std::int64_t i) {
+    return static_cast<double>(a[static_cast<std::size_t>(i)]) *
            static_cast<double>(b[static_cast<std::size_t>(i)]);
-  }
-  return sum;
+  });
 }
 
 double norm2(std::span<const value_t> a) { return std::sqrt(dot(a, a)); }

@@ -6,10 +6,13 @@
 // each parameterized over an SpMV operator so callers can plug in a plain
 // CSR kernel or a WISE-prepared matrix interchangeably.
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include <omp.h>
 
 #include "sparse/csr.hpp"
 
@@ -37,6 +40,28 @@ struct SolverResult {
 
 /// Dense-vector helpers shared by the solvers (all OpenMP-parallel).
 namespace blas {
+
+/// Sum of term(i) over [0, n) with a fixed combine order: each thread sums
+/// its schedule(static) range, then the per-thread partials are added in
+/// thread order. An OpenMP `reduction(+ : ...)` leaves the combine order
+/// unspecified, so with more than two threads two runs on the same input
+/// could differ in the last bits; this cannot. At one or two threads the
+/// result equals the reduction's.
+template <typename Term>
+double ordered_sum(std::int64_t n, Term&& term) {
+  std::vector<double> partial(static_cast<std::size_t>(omp_get_max_threads()),
+                              0.0);
+#pragma omp parallel
+  {
+    double sum = 0;
+#pragma omp for schedule(static) nowait
+    for (std::int64_t i = 0; i < n; ++i) sum += term(i);
+    partial[static_cast<std::size_t>(omp_get_thread_num())] = sum;
+  }
+  double sum = 0;
+  for (const double p : partial) sum += p;
+  return sum;
+}
 
 double dot(std::span<const value_t> a, std::span<const value_t> b);
 double norm2(std::span<const value_t> a);

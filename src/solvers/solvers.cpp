@@ -34,14 +34,15 @@ SolverResult solve_jacobi(const SpmvOperator& spmv,
   for (res.iterations = 1; res.iterations <= opts.max_iterations;
        ++res.iterations) {
     spmv(res.x, ax);
-    double norm = 0;
-#pragma omp parallel for schedule(static) reduction(+ : norm)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const value_t r = b[idx] - ax[idx];
-      norm += static_cast<double>(r) * r;
-      res.x[idx] += r / diagonal[idx];
-    }
+    // Fixed combine order (blas::ordered_sum): a reduction clause would
+    // let the residual differ between runs in the last bits.
+    const double norm =
+        blas::ordered_sum(static_cast<std::int64_t>(n), [&](std::int64_t i) {
+          const auto idx = static_cast<std::size_t>(i);
+          const value_t r = b[idx] - ax[idx];
+          res.x[idx] += r / diagonal[idx];
+          return static_cast<double>(r) * r;
+        });
     res.residual_norm = std::sqrt(norm);
     if (res.residual_norm < opts.tolerance) {
       res.converged = true;

@@ -114,34 +114,6 @@ inline void run_block_merge(const nnz_t* rp, const index_t* ci,
 }  // namespace
 
 void spmv_csr(const CsrMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, Schedule sched) {
-  check_dims(a, x, y);
-  const index_t n = a.nrows();
-  const nnz_t* rp = a.row_ptr().data();
-  const index_t* ci = a.col_idx().data();
-  const value_t* va = a.vals().data();
-  const value_t* xp = x.data();
-  value_t* yp = y.data();
-
-  // OpenMP requires the schedule kind to be lexically fixed per loop, hence
-  // one loop per policy.
-  switch (sched) {
-    case Schedule::kDyn:
-#pragma omp parallel for schedule(dynamic, kScheduleGrainRows)
-      for (index_t i = 0; i < n; ++i) yp[i] = row_dot(rp, ci, va, xp, i);
-      break;
-    case Schedule::kSt:
-#pragma omp parallel for schedule(static, kScheduleGrainRows)
-      for (index_t i = 0; i < n; ++i) yp[i] = row_dot(rp, ci, va, xp, i);
-      break;
-    case Schedule::kStCont:
-#pragma omp parallel for schedule(static)
-      for (index_t i = 0; i < n; ++i) yp[i] = row_dot(rp, ci, va, xp, i);
-      break;
-  }
-}
-
-void spmv_csr(const CsrMatrix& a, std::span<const value_t> x,
               std::span<value_t> y, Schedule sched, const SpmvPlan& plan) {
   check_dims(a, x, y);
   const index_t n = a.nrows();
@@ -153,17 +125,8 @@ void spmv_csr(const CsrMatrix& a, std::span<const value_t> x,
   const value_t* va = a.vals().data();
   const value_t* xp = x.data();
   value_t* yp = y.data();
-  const index_t nb = plan.num_blocks();
-  const index_t* bd = plan.bounds.data();
-  const std::uint8_t* vt =
-      plan.variants.empty() ? nullptr : plan.variants.data();
-
-  auto block = [=](index_t b) {
-    const index_t lo = bd[b];
-    const index_t hi = bd[b + 1];
-    const KernelVariant v =
-        vt == nullptr ? KernelVariant::kGeneric
-                      : static_cast<KernelVariant>(vt[b]);
+  for_each_plan_block(plan, sched, [=](index_t lo, index_t hi,
+                                       KernelVariant v) {
     switch (v) {
       case KernelVariant::kUniform:
         run_block_uniform(rp, ci, va, xp, yp, lo, hi);
@@ -179,18 +142,7 @@ void spmv_csr(const CsrMatrix& a, std::span<const value_t> x,
         run_block_generic(rp, ci, va, xp, yp, lo, hi);
         break;
     }
-  };
-
-  // Blocks already carry ~equal nonzero counts, so the static policies run
-  // one contiguous run of blocks per thread; Dyn keeps work stealing over
-  // the (oversubscribed) block list for machines with ambient load.
-  if (sched == Schedule::kDyn) {
-#pragma omp parallel for schedule(dynamic, 1)
-    for (index_t b = 0; b < nb; ++b) block(b);
-  } else {
-#pragma omp parallel for schedule(static)
-    for (index_t b = 0; b < nb; ++b) block(b);
-  }
+  });
 }
 
 void spmv_csr_mkl_like(const CsrMatrix& a, std::span<const value_t> x,

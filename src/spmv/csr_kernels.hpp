@@ -9,18 +9,16 @@
 
 namespace wise {
 
-/// y = A*x with the given scheduling policy. y is fully overwritten.
-/// Throws std::invalid_argument on dimension mismatch.
-void spmv_csr(const CsrMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, Schedule sched);
-
-/// y = A*x over a precomputed nnz-balanced plan (see spmv/plan.hpp). Blocks
-/// run one per thread for the static policies and work-stolen for Dyn.
-/// A specialized plan dispatches each block to its recorded KernelVariant
-/// (uniform / wide / merge loops); an unspecialized plan runs every block
-/// through the generic loop. Bit-identical to the legacy loop above at any
-/// thread count and any variant table. Throws std::invalid_argument on
-/// dimension mismatch or a plan that does not cover the matrix's rows.
+/// y = A*x over a precomputed nnz-balanced plan (see spmv/plan.hpp); y is
+/// fully overwritten. Blocks run one contiguous run per thread for the
+/// static policies (St and StCont execute identically) and work-stolen for
+/// Dyn. A specialized plan dispatches each block to its recorded
+/// KernelVariant (uniform / wide / merge loops); an unspecialized plan runs
+/// every block through the generic loop. The result is bit-identical at any
+/// thread count, plan shape and variant table; rows reduce with `omp simd`,
+/// so it equals spmv_reference only to rounding. Throws
+/// std::invalid_argument on dimension mismatch or a plan that does not
+/// cover the matrix's rows.
 void spmv_csr(const CsrMatrix& a, std::span<const value_t> x,
               std::span<value_t> y, Schedule sched, const SpmvPlan& plan);
 

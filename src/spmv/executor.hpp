@@ -3,34 +3,33 @@
 // the "transform matrix layout" + "run SpMV" steps of the WISE pipeline
 // (paper Fig 8, steps 4-5).
 
-#include <memory>
-#include <optional>
 #include <span>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dia.hpp"
+#include "sparse/ell.hpp"
+#include "sparse/hyb.hpp"
 #include "sparse/srvpack.hpp"
-#include "spmv/bsr_fwd.hpp"
+#include "spmv/bsr.hpp"
 #include "spmv/method.hpp"
 #include "spmv/plan.hpp"
 #include "spmv/srvpack_kernels.hpp"
 
 namespace wise {
 
-class EllMatrix;
-class HybMatrix;
-class DiaMatrix;
-
-/// A matrix converted to the layout a MethodConfig needs, plus the measured
-/// conversion (preprocessing) time.
+/// A matrix converted to the layout a MethodConfig needs, the execution
+/// plan that layout runs over, and the measured conversion (preprocessing)
+/// time.
 ///
 /// Lifetime: for CSR configurations no conversion happens and the prepared
 /// matrix *references* the source CsrMatrix, which must outlive it. For all
-/// other configurations the SRVPack copy is owned.
+/// other configurations the converted layout is owned (owned_bytes()).
 class PreparedMatrix {
  public:
-  /// Converts `m` (timing the conversion) and, unless WISE_PLAN=0, builds
-  /// the nnz-balanced execution plan the kernels run over (spmv/plan.hpp).
+  /// Converts `m` (timing the conversion) and builds the nnz-balanced
+  /// execution plan the kernels run over (spmv/plan.hpp; BSR has none).
   /// Never null-returns; throws on invalid configs.
   static PreparedMatrix prepare(const CsrMatrix& m, const MethodConfig& cfg);
 
@@ -59,31 +58,43 @@ class PreparedMatrix {
   /// separately by plan_bytes so existing footprint comparisons hold).
   std::size_t memory_bytes() const;
 
-  /// Bytes of the precomputed execution plan, 0 when plans are disabled or
-  /// the config has none (BSR). serve::prepared_entry_bytes charges this
-  /// into the prepared-cache byte budget on top of memory_bytes().
+  /// Bytes of the precomputed execution plan, 0 for BSR, which has none.
   std::size_t plan_bytes() const;
 
-  /// True when run() executes over a precomputed plan.
-  bool has_plan() const {
-    return csr_plan_.has_value() || srv_plan_.has_value() ||
-           fmt_plan_.has_value();
-  }
+  /// Bytes this object owns beyond the source matrix: the converted layout
+  /// (none for CSR, which references the source) plus the plan.
+  /// serve::prepared_entry_bytes charges this into the prepared-cache byte
+  /// budget on top of the source matrix.
+  std::size_t owned_bytes() const;
 
   index_t nrows() const { return csr_->nrows(); }
   index_t ncols() const { return csr_->ncols(); }
 
  private:
+  /// One alternative per layout, each with the plan it executes over. CSR
+  /// runs on the referenced source matrix (csr_); the others own theirs.
+  struct CsrLayout {
+    SpmvPlan plan;  ///< row plan over the source row_ptr
+  };
+  struct SrvLayout {
+    SrvPackMatrix m;  ///< SELLPACK, Sell-c-σ, Sell-c-R, LAV-1Seg, LAV
+    SrvPlan plan;     ///< per-segment chunk plans
+  };
+  struct BsrLayout {
+    BsrMatrix m;  ///< block-granular kernel; no plan
+  };
+  template <typename Matrix>
+  struct FormatLayout {
+    Matrix m;       ///< ELL, HYB or DIA
+    SpmvPlan plan;  ///< row plan over the source row_ptr
+  };
+  using Layout =
+      std::variant<CsrLayout, SrvLayout, BsrLayout, FormatLayout<EllMatrix>,
+                   FormatLayout<HybMatrix>, FormatLayout<DiaMatrix>>;
+
   MethodConfig cfg_;
-  const CsrMatrix* csr_ = nullptr;  ///< always set; the SpMV source for kCsr
-  std::optional<SrvPackMatrix> packed_;
-  std::shared_ptr<const BsrMatrix> bsr_;  ///< set for the BSR extension
-  std::shared_ptr<const EllMatrix> ell_;  ///< set for the ELL extension
-  std::shared_ptr<const HybMatrix> hyb_;  ///< set for the HYB extension
-  std::shared_ptr<const DiaMatrix> dia_;  ///< set for the DIA extension
-  std::optional<SpmvPlan> csr_plan_;  ///< row plan, kCsr only
-  std::optional<SrvPlan> srv_plan_;   ///< per-segment chunk plans, SRVPack
-  std::optional<SpmvPlan> fmt_plan_;  ///< row plan, ELL/HYB/DIA
+  const CsrMatrix* csr_ = nullptr;  ///< the source matrix; always set
+  Layout layout_;
   SrvWorkspace ws_;
   double prep_seconds_ = 0.0;
   /// Per-configuration kernel timer ("spmv.run.<config name>"), interned

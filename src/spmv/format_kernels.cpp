@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include <omp.h>
-
 namespace wise {
 
 namespace {
@@ -20,34 +18,21 @@ void check_dims(const Matrix& a, std::span<const value_t> x,
   }
 }
 
-/// Runs `block(lo, hi)` over a disjoint cover of [0, n): the plan's blocks
-/// (static, one contiguous run per thread — every format config registers
-/// with kStCont) or, with no plan, one even row range per thread. Rows are
-/// computed independently, so the partition never affects the bits.
+/// Runs `block(lo, hi)` over the plan's blocks, which must be a disjoint
+/// cover of [0, n) (static, one contiguous run per thread — every format
+/// config registers with kStCont). Rows are computed independently, so the
+/// partition never affects the bits.
 template <typename Block>
-void run_blocked(const SpmvPlan* plan, index_t n, const char* who,
+void run_blocked(const SpmvPlan& plan, index_t n, const char* who,
                  Block&& block) {
-  if (plan != nullptr) {
-    if (!plan->covers(n)) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": plan does not cover the matrix");
-    }
-    const index_t nb = plan->num_blocks();
-    const index_t* bd = plan->bounds.data();
-#pragma omp parallel for schedule(static)
-    for (index_t b = 0; b < nb; ++b) block(bd[b], bd[b + 1]);
-    return;
+  if (!plan.covers(n)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": plan does not cover the matrix");
   }
-#pragma omp parallel
-  {
-    const int nt = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-    const index_t lo = static_cast<index_t>(
-        static_cast<std::int64_t>(n) * tid / nt);
-    const index_t hi = static_cast<index_t>(
-        static_cast<std::int64_t>(n) * (tid + 1) / nt);
-    if (lo < hi) block(lo, hi);
-  }
+  for_each_plan_block(plan, Schedule::kStCont,
+                      [&](index_t lo, index_t hi, KernelVariant) {
+                        block(lo, hi);
+                      });
 }
 
 /// The shared ELL-part loop (used by both ELL and HYB): slot-outer over
@@ -70,7 +55,7 @@ void ell_part_block(const index_t* len, const index_t* cols,
 }  // namespace
 
 void spmv_ell(const EllMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, const SpmvPlan* plan) {
+              std::span<value_t> y, const SpmvPlan& plan) {
   check_dims(a, x, y, "spmv_ell");
   const index_t* len = a.row_lens().data();
   const index_t* cols = a.cols().data();
@@ -85,7 +70,7 @@ void spmv_ell(const EllMatrix& a, std::span<const value_t> x,
 }
 
 void spmv_hyb(const HybMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, const SpmvPlan* plan) {
+              std::span<value_t> y, const SpmvPlan& plan) {
   check_dims(a, x, y, "spmv_hyb");
   const index_t* len = a.ell_lens().data();
   const index_t* cols = a.ell_cols().data();
@@ -111,7 +96,7 @@ void spmv_hyb(const HybMatrix& a, std::span<const value_t> x,
 }
 
 void spmv_dia(const DiaMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, const SpmvPlan* plan) {
+              std::span<value_t> y, const SpmvPlan& plan) {
   check_dims(a, x, y, "spmv_dia");
   const std::int64_t* off = a.offsets().data();
   const char* dense = a.lane_dense().data();

@@ -154,10 +154,7 @@ SpmvPlan build_specialized_plan(std::span<const nnz_t> offsets,
 
 index_t plan_blocks_for(Schedule sched, int threads) {
   const index_t t = std::max(1, threads);
-  if (sched != Schedule::kDyn) return t;
-  const index_t factor = static_cast<index_t>(
-      std::clamp<std::int64_t>(env_int("WISE_PLAN_BLOCK_FACTOR", 4), 1, 256));
-  return t * factor;
+  return sched == Schedule::kDyn ? t * kDynBlocksPerThread : t;
 }
 
 SpmvPlan build_csr_plan(const CsrMatrix& m, Schedule sched, int threads) {
@@ -206,16 +203,8 @@ SrvPlan build_srv_plan(const SrvPackMatrix& m, Schedule sched, int threads,
   return plan;
 }
 
-bool plans_enabled() { return env_flag("WISE_PLAN", true); }
-
 bool plan_specialization_enabled() {
   return env_flag("WISE_PLAN_SPECIALIZE", true);
-}
-
-bool srv_merge_enabled() {
-  // Cached: consulted per block on the SRVPack execution path.
-  static const bool enabled = env_flag("WISE_SRV_MERGE", false);
-  return enabled;
 }
 
 }  // namespace wise

@@ -1,7 +1,7 @@
 #pragma once
 // Precomputed nnz-balanced execution plans for the SpMV kernels.
 //
-// The plain OpenMP row loops in csr_kernels.cpp divide *rows* evenly across
+// A plain `schedule(static)` row loop divides *rows* evenly across
 // threads. On skewed matrices (power-law degree distributions — the exact
 // regime WISE targets) row counts are a terrible proxy for work: one thread
 // can own a handful of dense hub rows holding most of the nonzeros while
@@ -34,16 +34,23 @@
 //             addition, so reassociation cannot change the bits), longer
 //             items fall back to the exact generic inner loop
 //
-// Correctness is schedule- and variant-independent: every row (CSR) or
-// chunk (SRVPack segment) is computed by exactly one block, and every
-// specialized loop reuses the generic simd-reduced inner loop for any item
-// with 3+ stored entries, so plan execution is bit-identical to the legacy
-// loops at any thread count (pinned by tests/plan_test.cpp and
-// tests/plan_specialize_test.cpp).
+// Every prepared layout except BSR executes over a plan. The bit-identity
+// contract has three parts:
+//   1. Results do not depend on the thread count or the plan's shape: every
+//      row (CSR) or chunk (SRVPack segment) is computed by exactly one
+//      block with the same inner loop, and every specialized loop reuses
+//      the generic loop for any item with 3+ stored entries.
+//   2. SELLPACK, Sell-c-σ, Sell-c-R, ELL, HYB and DIA equal the serial
+//      spmv_reference bit for bit (and SpMM its spmm_reference): each row
+//      accumulates its entries in column order.
+//   3. The rest equal spmv_reference only to rounding. CSR rows reduce
+//      with `omp simd`, whose association order is the compiler's;
+//      LAV-1Seg and LAV permute each row's columns (CFS), and LAV also
+//      splits a row's sum across segments.
+// Pinned by tests/plan_test.cpp, tests/plan_specialize_test.cpp and
+// tests/spmv_kernels_test.cpp.
 //
-// Env knobs (read once per build call, documented in docs/PERFORMANCE.md):
-//   WISE_PLAN=0                 disable plans (legacy OpenMP loops)
-//   WISE_PLAN_BLOCK_FACTOR=N    blocks per thread for Dyn plans (default 4)
+// Env knob (read once per build call, documented in docs/PERFORMANCE.md):
 //   WISE_PLAN_SPECIALIZE=0      balanced blocks only, no variant table
 
 #include <array>
@@ -118,6 +125,26 @@ struct SpmvPlan {
   bool covers(index_t n) const;
 };
 
+/// Runs `block(lo, hi, variant)` once per plan block, the one execution
+/// path every planned kernel shares. Blocks already carry ~equal work, so
+/// the static policies hand each thread one contiguous run of blocks; Dyn
+/// keeps work stealing over the (oversubscribed) block list for machines
+/// with ambient load. Every item runs in exactly one block, so the result
+/// never depends on which thread owns it.
+template <typename BlockFn>
+void for_each_plan_block(const SpmvPlan& plan, Schedule sched,
+                         BlockFn&& block) {
+  const index_t nb = plan.num_blocks();
+  const index_t* bd = plan.bounds.data();
+  if (sched == Schedule::kDyn) {
+#pragma omp parallel for schedule(dynamic, 1)
+    for (index_t b = 0; b < nb; ++b) block(bd[b], bd[b + 1], plan.variant(b));
+  } else {
+#pragma omp parallel for schedule(static)
+    for (index_t b = 0; b < nb; ++b) block(bd[b], bd[b + 1], plan.variant(b));
+  }
+}
+
 /// Partitions [0, offsets.size()-1) into at most `max_blocks` blocks of
 /// ~equal prefix-sum weight. `offsets` is a non-decreasing prefix sum with
 /// offsets[0] == 0 (a CSR row_ptr or SRVPack chunk_offset). Split points
@@ -149,9 +176,12 @@ KernelVariant classify_block(std::span<const nnz_t> offsets, index_t lo,
 SpmvPlan build_specialized_plan(std::span<const nnz_t> offsets,
                                 index_t max_blocks);
 
+/// Blocks per thread for Dyn plans, so work stealing still has spare
+/// blocks to rebalance with under ambient load.
+inline constexpr index_t kDynBlocksPerThread = 4;
+
 /// How many blocks a schedule wants for `threads` threads: one per thread
-/// for the static policies, threads x WISE_PLAN_BLOCK_FACTOR for Dyn so
-/// work stealing still has spare blocks to rebalance with.
+/// for the static policies, threads x kDynBlocksPerThread for Dyn.
 index_t plan_blocks_for(Schedule sched, int threads);
 
 /// Row plan for the CSR kernels (binary search over row_ptr). The 3-arg
@@ -174,22 +204,9 @@ SrvPlan build_srv_plan(const SrvPackMatrix& m, Schedule sched, int threads);
 SrvPlan build_srv_plan(const SrvPackMatrix& m, Schedule sched, int threads,
                        bool specialize);
 
-/// WISE_PLAN environment switch (default on). When off, PreparedMatrix
-/// skips plan construction and run() uses the legacy OpenMP loops.
-bool plans_enabled();
-
 /// WISE_PLAN_SPECIALIZE environment switch (default on). When off, plans
 /// are built without variant tables and every block executes the generic
 /// loop — exactly the pre-specialization behavior.
 bool plan_specialization_enabled();
-
-/// WISE_SRV_MERGE environment switch (default OFF). The SRVPack merge
-/// variant's tiny-chunk unroll measured ~0.95x of the generic chunk loop
-/// on the perf-smoke suite, so merge-classified blocks execute the generic
-/// loop unless this opts back in. Classification is unaffected either way:
-/// blocks are still labeled kMerge and variant_histogram() keeps its
-/// merge bucket populated, so plan telemetry stays shape-stable. The CSR
-/// (non-SRVPack) merge kernel is not gated. Read once and cached.
-bool srv_merge_enabled();
 
 }  // namespace wise

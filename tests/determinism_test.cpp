@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include "exp/corpus.hpp"
 #include "features/extractor.hpp"
 #include "gen/generators.hpp"
@@ -97,12 +99,18 @@ TEST(Determinism, SchedulingDoesNotChangeResults) {
   // is written by exactly one task).
   const CsrMatrix m = testing::random_csr(500, 500, 8.0, 88);
   const auto x = testing::random_vector(500, 89);
-  std::vector<value_t> y1(500), y2(500);
-  spmv_csr(m, x, y1, Schedule::kDyn);
-  spmv_csr(m, x, y2, Schedule::kDyn);
+  const int threads = omp_get_max_threads();
+  const SpmvPlan dyn = build_csr_plan(m, Schedule::kDyn, threads);
+  const SpmvPlan st_cont = build_csr_plan(m, Schedule::kStCont, threads);
+  std::vector<value_t> y1(500), y2(500), y_ref(500);
+  spmv_csr(m, x, y1, Schedule::kDyn, dyn);
+  spmv_csr(m, x, y2, Schedule::kDyn, dyn);
   EXPECT_EQ(y1, y2);
-  spmv_csr(m, x, y2, Schedule::kStCont);
+  spmv_csr(m, x, y2, Schedule::kStCont, st_cont);
   EXPECT_EQ(y1, y2);  // same per-row summation order regardless of schedule
+  EXPECT_EQ(y1, testing::spmv_csr_one_block(m, x));  // ... and regardless of the plan's shape
+  spmv_reference(m, x, y_ref);
+  testing::expect_vectors_near(y_ref, y1);
 }
 
 }  // namespace

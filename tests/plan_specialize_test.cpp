@@ -155,9 +155,9 @@ TEST(SpecializedPlan, CoversRejectsMismatchedVariantTable) {
 // ---------------------------------- bit-identity across variant matrix ----
 
 /// The variant matrix: each fixture is built to steer the classifier into
-/// a different specialized loop (plus mixtures). Specialized execution
-/// must be bit-identical to the generic plan AND the legacy loop at every
-/// thread count and schedule.
+/// a different specialized loop (plus mixtures). Specialized and generic
+/// plan execution must be bit-identical to the single-block generic plan
+/// run on one thread, at every thread count and schedule.
 std::vector<std::pair<const char*, CsrMatrix>> variant_fixtures() {
   std::vector<std::pair<const char*, CsrMatrix>> fixtures;
   // Uniform short rows (banded, full density).
@@ -187,9 +187,12 @@ TEST(SpecializeBitIdentity, CsrAcrossVariantMatrixAndThreadCounts) {
   const int ambient = omp_get_max_threads();
   for (const auto& [label, m] : variant_fixtures()) {
     const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 17);
-    std::vector<value_t> y_legacy(static_cast<std::size_t>(m.nrows()));
-    std::vector<value_t> y_generic(y_legacy.size(), -1.0);
-    std::vector<value_t> y_spec(y_legacy.size(), -2.0);
+    std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+    std::vector<value_t> y_generic(y_ref.size(), -1.0);
+    std::vector<value_t> y_spec(y_ref.size(), -2.0);
+    spmv_reference(m, x, y_ref);
+    const auto y_serial = testing::spmv_csr_one_block(m, x);
+    testing::expect_vectors_near(y_ref, y_serial);
     for (const Schedule sched :
          {Schedule::kDyn, Schedule::kSt, Schedule::kStCont}) {
       for (const int threads : {1, 2, 8}) {
@@ -198,13 +201,12 @@ TEST(SpecializeBitIdentity, CsrAcrossVariantMatrixAndThreadCounts) {
             build_csr_plan(m, sched, threads, /*specialize=*/false);
         const SpmvPlan spec =
             build_csr_plan(m, sched, threads, /*specialize=*/true);
-        spmv_csr(m, x, y_legacy, sched);
         spmv_csr(m, x, y_generic, sched, generic);
         spmv_csr(m, x, y_spec, sched, spec);
-        EXPECT_EQ(y_legacy, y_generic)
+        EXPECT_EQ(y_serial, y_generic)
             << label << " generic plan, " << schedule_name(sched) << " @ "
             << threads << " threads";
-        EXPECT_EQ(y_legacy, y_spec)
+        EXPECT_EQ(y_serial, y_spec)
             << label << " specialized plan, " << schedule_name(sched)
             << " @ " << threads << " threads";
       }
@@ -223,11 +225,15 @@ TEST(SpecializeBitIdentity, SrvPackAcrossThreadCounts) {
       {.c = 4, .sigma = 64},
       {.c = 8, .sigma = kSigmaAll, .cfs = true, .segment_fractions = {0.8}},
       {.c = 16, .sigma = 128}};
+  std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+  spmv_reference(m, x, y_ref);
   for (const auto& opt : options) {
     const SrvPackMatrix p = SrvPackMatrix::build(m, opt);
-    std::vector<value_t> y_generic(static_cast<std::size_t>(m.nrows()));
-    std::vector<value_t> y_spec(y_generic.size(), -1.0);
+    std::vector<value_t> y_generic(y_ref.size(), -1.0);
+    std::vector<value_t> y_spec(y_ref.size(), -2.0);
     SrvWorkspace ws_generic, ws_spec;
+    const auto y_serial = testing::spmv_srvpack_one_block(p, x);
+    testing::expect_vectors_near(y_ref, y_serial);
     for (const Schedule sched : {Schedule::kDyn, Schedule::kStCont}) {
       for (const int threads : {1, 2, 8}) {
         omp_set_num_threads(threads);
@@ -235,11 +241,14 @@ TEST(SpecializeBitIdentity, SrvPackAcrossThreadCounts) {
             build_srv_plan(p, sched, threads, /*specialize=*/false);
         const SrvPlan spec =
             build_srv_plan(p, sched, threads, /*specialize=*/true);
-        spmv_srvpack(p, x, y_generic, sched, ws_generic, &generic);
-        spmv_srvpack(p, x, y_spec, sched, ws_spec, &spec);
-        EXPECT_EQ(y_generic, y_spec)
-            << "c=" << opt.c << " " << schedule_name(sched) << " @ "
-            << threads << " threads";
+        spmv_srvpack(p, x, y_generic, sched, ws_generic, generic);
+        spmv_srvpack(p, x, y_spec, sched, ws_spec, spec);
+        EXPECT_EQ(y_serial, y_generic)
+            << "c=" << opt.c << " generic plan, " << schedule_name(sched)
+            << " @ " << threads << " threads";
+        EXPECT_EQ(y_serial, y_spec)
+            << "c=" << opt.c << " specialized plan, " << schedule_name(sched)
+            << " @ " << threads << " threads";
       }
     }
   }
@@ -258,15 +267,15 @@ TEST(SpecializeBitIdentity, SignedZeroRowsMatchGenericBits) {
   const CsrMatrix m = CsrMatrix::from_coo(coo);
   std::vector<value_t> x(8, 0.0);
   x[3] = 5.0;
-  std::vector<value_t> y_legacy(8), y_spec(8, -1.0);
+  std::vector<value_t> y_spec(8, -1.0);
   const SpmvPlan spec = build_specialized_plan(m.row_ptr(), 1);
   ASSERT_TRUE(spec.specialized());
-  spmv_csr(m, x, y_legacy, Schedule::kStCont);
+  const auto y_generic = testing::spmv_csr_one_block(m, x);
   spmv_csr(m, x, y_spec, Schedule::kStCont, spec);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(std::signbit(y_legacy[i]), std::signbit(y_spec[i]))
+    EXPECT_EQ(std::signbit(y_generic[i]), std::signbit(y_spec[i]))
         << "row " << i;
-    EXPECT_EQ(y_legacy[i], y_spec[i]) << "row " << i;
+    EXPECT_EQ(y_generic[i], y_spec[i]) << "row " << i;
   }
 }
 
@@ -277,21 +286,18 @@ TEST(SpecializeExecutor, PreparedMatrixCarriesVariantTable) {
       generate_rmat(rmat_class_params(RmatClass::kHighSkew, 1024, 8.0), 31));
   PreparedMatrix csr = PreparedMatrix::prepare(
       m, {.kind = MethodKind::kCsr, .sched = Schedule::kStCont});
-  ASSERT_TRUE(csr.has_plan());
-  EXPECT_GT(csr.plan_bytes(), 0u);
+  ASSERT_GT(csr.plan_bytes(), 0u);
 
   const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 33);
-  std::vector<value_t> y_legacy(static_cast<std::size_t>(m.nrows()));
-  std::vector<value_t> y(y_legacy.size(), -1.0);
-  spmv_csr(m, x, y_legacy, Schedule::kStCont);
+  const auto y_generic = testing::spmv_csr_one_block(m, x);
+  std::vector<value_t> y(y_generic.size(), -1.0);
   csr.run(x, y);
-  EXPECT_EQ(y_legacy, y) << "prepared specialized run is bit-identical";
+  EXPECT_EQ(y_generic, y) << "prepared specialized run is bit-identical";
 
   PreparedMatrix packed = PreparedMatrix::prepare(
       m, {.kind = MethodKind::kSellpack, .sched = Schedule::kDyn, .c = 4});
-  ASSERT_TRUE(packed.has_plan());
-  EXPECT_GT(packed.plan_bytes(), 0u);
-  std::vector<value_t> y_ref(y_legacy.size());
+  ASSERT_GT(packed.plan_bytes(), 0u);
+  std::vector<value_t> y_ref(y_generic.size());
   spmv_reference(m, x, y_ref);
   packed.run(x, y);
   testing::expect_vectors_near(y_ref, y);

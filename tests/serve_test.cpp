@@ -11,6 +11,7 @@
 
 #include "serve/cache.hpp"
 #include "serve/fingerprint.hpp"
+#include "spmv/bsr.hpp"
 #include "spmv/method.hpp"
 #include "test_util.hpp"
 #include "util/lru.hpp"
@@ -180,6 +181,37 @@ TEST(PreparedCache, EntryBytesAccountsConvertedLayouts) {
   EXPECT_EQ(prepared_entry_bytes(*m, packed),
             m->memory_bytes() + packed.memory_bytes() + packed.plan_bytes())
       << "converted entries pay for source, layout, and plan";
+}
+
+/// Pins the charge for every configuration of every layout kind to the
+/// formula the cache budget was sized with, so a change to how prepared
+/// layouts are held cannot shift evictions: CSR pays source + plan; BSR
+/// pays source + layout and has no plan; every other layout pays source +
+/// layout + plan.
+TEST(PreparedCache, EntryBytesPinnedForEveryLayoutKind) {
+  const CsrMatrix m = CsrMatrix::from_coo(generate_banded(300, 4, 1.0, 8));
+  std::vector<MethodKind> kinds_seen;
+  for (const MethodConfig& cfg : extended_method_configs()) {
+    SCOPED_TRACE(cfg.name());
+    const PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
+    const std::size_t source = m.memory_bytes();
+    if (cfg.kind == MethodKind::kCsr) {
+      EXPECT_GT(pm.plan_bytes(), 0u);
+      EXPECT_EQ(prepared_entry_bytes(m, pm), source + pm.plan_bytes());
+    } else if (cfg.kind == MethodKind::kBsr) {
+      EXPECT_EQ(pm.plan_bytes(), 0u);
+      EXPECT_EQ(prepared_entry_bytes(m, pm), source + pm.memory_bytes());
+    } else {
+      EXPECT_GT(pm.plan_bytes(), 0u);
+      EXPECT_EQ(prepared_entry_bytes(m, pm),
+                source + pm.memory_bytes() + pm.plan_bytes());
+    }
+    if (std::find(kinds_seen.begin(), kinds_seen.end(), cfg.kind) ==
+        kinds_seen.end()) {
+      kinds_seen.push_back(cfg.kind);
+    }
+  }
+  EXPECT_EQ(kinds_seen.size(), 10u) << "every MethodKind is covered";
 }
 
 // ------------------------------------------------------------ budget split ----

@@ -1,9 +1,13 @@
 // Correctness tests for every SpMV kernel against the serial reference,
-// parameterized over the full 29-configuration method space and several
-// matrix shapes.
+// parameterized over the full 35-configuration method space (the paper's
+// 29 plus the BSR/ELL/HYB/DIA extensions) and several matrix shapes.
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include "spmv/applicability.hpp"
+#include "spmv/bsr.hpp"
 #include "spmv/csr_kernels.hpp"
 #include "spmv/executor.hpp"
 #include "spmv/method.hpp"
@@ -16,10 +20,18 @@ namespace {
 using testing::expect_vectors_near;
 using testing::random_csr;
 using testing::random_vector;
+using testing::run_srvpack_plan;
 
 // -------------------------------------------------------- CSR kernels ----
 
 class CsrScheduleTest : public ::testing::TestWithParam<Schedule> {};
+
+/// y = A*x through the schedule's plan at the ambient thread count.
+void run_csr_plan(const CsrMatrix& m, std::span<const value_t> x,
+                  std::span<value_t> y, Schedule sched) {
+  spmv_csr(m, x, y, sched,
+           build_csr_plan(m, sched, omp_get_max_threads()));
+}
 
 TEST_P(CsrScheduleTest, MatchesReferenceOnRandomMatrices) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -27,8 +39,10 @@ TEST_P(CsrScheduleTest, MatchesReferenceOnRandomMatrices) {
     const auto x = random_vector(150, seed + 100);
     std::vector<value_t> y_ref(200), y(200, -1.0);
     spmv_reference(m, x, y_ref);
-    spmv_csr(m, x, y, GetParam());
+    const auto y_generic = testing::spmv_csr_one_block(m, x);
+    run_csr_plan(m, x, y, GetParam());
     expect_vectors_near(y_ref, y);
+    EXPECT_EQ(y_generic, y) << "the plan's shape must not change the bits";
   }
 }
 
@@ -38,7 +52,7 @@ TEST_P(CsrScheduleTest, WritesZerosForEmptyRows) {
   const CsrMatrix m = CsrMatrix::from_coo(coo);
   const auto x = random_vector(6, 1);
   std::vector<value_t> y(6, -99.0);
-  spmv_csr(m, x, y, GetParam());
+  run_csr_plan(m, x, y, GetParam());
   for (index_t i = 0; i < 6; ++i) {
     if (i != 2) {
       EXPECT_EQ(y[static_cast<std::size_t>(i)], 0.0);
@@ -49,7 +63,8 @@ TEST_P(CsrScheduleTest, WritesZerosForEmptyRows) {
 TEST_P(CsrScheduleTest, RejectsDimensionMismatch) {
   const CsrMatrix m = random_csr(4, 5, 2.0, 1);
   std::vector<value_t> x(5), y_small(3);
-  EXPECT_THROW(spmv_csr(m, x, y_small, GetParam()), std::invalid_argument);
+  EXPECT_THROW(run_csr_plan(m, x, y_small, GetParam()),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedules, CsrScheduleTest,
@@ -107,7 +122,7 @@ struct ConfigCase {
 
 std::vector<ConfigCase> all_cases() {
   std::vector<ConfigCase> cases;
-  for (const auto& cfg : all_method_configs()) {
+  for (const auto& cfg : extended_method_configs()) {
     std::string name = cfg.name();
     for (char& ch : name) {
       if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
@@ -117,27 +132,60 @@ std::vector<ConfigCase> all_cases() {
   return cases;
 }
 
+/// `m` when `cfg` can be prepared for it, else a banded matrix every
+/// configuration accepts (DIA rejects scattered structure).
+const CsrMatrix& applicable_or_banded(const MethodConfig& cfg,
+                                      const CsrMatrix& m) {
+  static const CsrMatrix banded =
+      CsrMatrix::from_coo(generate_banded(257, 5, 0.9, 14));
+  return config_applicable(cfg, m) ? m : banded;
+}
+
+/// Layouts whose rows accumulate in column order, so they equal the serial
+/// reference bit for bit. CSR reduces with `omp simd`, CFS permutes each
+/// row's columns and BSR adds block padding: those match to rounding.
+bool equals_reference_exactly(MethodKind kind) {
+  switch (kind) {
+    case MethodKind::kSellpack:
+    case MethodKind::kSellCSigma:
+    case MethodKind::kSellCR:
+    case MethodKind::kEll:
+    case MethodKind::kHyb:
+    case MethodKind::kDia:
+      return true;
+    default:
+      return false;
+  }
+}
+
 class MethodSpaceTest : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(MethodSpaceTest, PreparedRunMatchesReference) {
   const auto& cfg = GetParam().cfg;
   for (std::uint64_t seed : {10u, 20u}) {
-    const CsrMatrix m = random_csr(257, 193, 7.0, seed);  // odd, non-square
-    const auto x = random_vector(193, seed + 1);
-    std::vector<value_t> y_ref(257), y(257, -1.0);
+    const CsrMatrix scattered =
+        random_csr(257, 193, 7.0, seed);  // odd, non-square
+    const CsrMatrix& m = applicable_or_banded(cfg, scattered);
+    const auto x = random_vector(static_cast<std::size_t>(m.ncols()), seed + 1);
+    std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+    std::vector<value_t> y(y_ref.size(), -1.0);
     spmv_reference(m, x, y_ref);
     PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
     pm.run(x, y);
     expect_vectors_near(y_ref, y);
+    if (equals_reference_exactly(cfg.kind)) {
+      EXPECT_EQ(y_ref, y);
+    }
   }
 }
 
 TEST_P(MethodSpaceTest, SecondRunIsIdentical) {
   // Workspace reuse across iterations must not corrupt results.
   const auto& cfg = GetParam().cfg;
-  const CsrMatrix m = random_csr(100, 100, 5.0, 42);
-  const auto x = random_vector(100, 43);
-  std::vector<value_t> y1(100), y2(100);
+  const CsrMatrix scattered = random_csr(100, 100, 5.0, 42);
+  const CsrMatrix& m = applicable_or_banded(cfg, scattered);
+  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 43);
+  std::vector<value_t> y1(static_cast<std::size_t>(m.nrows())), y2(y1.size());
   PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
   pm.run(x, y1);
   pm.run(x, y2);
@@ -147,7 +195,8 @@ TEST_P(MethodSpaceTest, SecondRunIsIdentical) {
 TEST_P(MethodSpaceTest, HandlesSkewedPowerLawMatrix) {
   const auto& cfg = GetParam().cfg;
   const RmatParams params{.n = 256, .avg_degree = 8.0};
-  const CsrMatrix m = CsrMatrix::from_coo(generate_rmat(params, 7));
+  const CsrMatrix skewed = CsrMatrix::from_coo(generate_rmat(params, 7));
+  const CsrMatrix& m = applicable_or_banded(cfg, skewed);
   const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 8);
   std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
   std::vector<value_t> y(y_ref.size());
@@ -155,9 +204,37 @@ TEST_P(MethodSpaceTest, HandlesSkewedPowerLawMatrix) {
   PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
   pm.run(x, y);
   expect_vectors_near(y_ref, y);
+  if (equals_reference_exactly(cfg.kind)) {
+    EXPECT_EQ(y_ref, y);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(All29Configs, MethodSpaceTest,
+/// Prepared and run at the ambient thread count (so the plan's block count
+/// follows it), every configuration reproduces its own 1-thread result bit
+/// for bit, on a skewed and a banded matrix. The test only ever narrows the
+/// OpenMP team; ctest reruns the binary at OMP_NUM_THREADS 1, 2 and 8 to
+/// cover the wider teams.
+TEST_P(MethodSpaceTest, BitIdenticalAcrossThreadCounts) {
+  const auto& cfg = GetParam().cfg;
+  const int ambient = omp_get_max_threads();
+  const CsrMatrix skewed = CsrMatrix::from_coo(generate_rmat(
+      rmat_class_params(RmatClass::kHighSkew, 1024, 8.0), 61));
+  const CsrMatrix banded =
+      CsrMatrix::from_coo(generate_banded(515, 7, 0.8, 62));
+  for (const CsrMatrix* m : {&skewed, &banded}) {
+    if (!config_applicable(cfg, *m)) continue;
+    const auto x = random_vector(static_cast<std::size_t>(m->ncols()), 63);
+    std::vector<value_t> y(static_cast<std::size_t>(m->nrows()), -1.0);
+    std::vector<value_t> y_serial(y.size());
+    PreparedMatrix::prepare(*m, cfg).run(x, y);
+    omp_set_num_threads(1);
+    PreparedMatrix::prepare(*m, cfg).run(x, y_serial);
+    omp_set_num_threads(ambient);
+    EXPECT_EQ(y_serial, y) << "@ " << ambient << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllConfigs, MethodSpaceTest,
                          ::testing::ValuesIn(all_cases()),
                          [](const auto& info) { return info.param.name; });
 
@@ -170,8 +247,7 @@ TEST(SrvPackKernel, GenericWidthFallbackWorks) {
   const auto x = random_vector(50, 10);
   std::vector<value_t> y_ref(50), y(50);
   spmv_reference(m, x, y_ref);
-  SrvWorkspace ws;
-  spmv_srvpack(p, x, y, Schedule::kDyn, ws);
+  run_srvpack_plan(p, x, y, Schedule::kDyn);
   expect_vectors_near(y_ref, y);
 }
 
@@ -180,7 +256,22 @@ TEST(SrvPackKernel, RejectsDimensionMismatch) {
   const SrvPackMatrix p = SrvPackMatrix::build(m, {.c = 4});
   std::vector<value_t> x(10), y(5);
   SrvWorkspace ws;
-  EXPECT_THROW(spmv_srvpack(p, x, y, Schedule::kDyn, ws),
+  EXPECT_THROW(spmv_srvpack(p, x, y, Schedule::kDyn, ws,
+                            build_srv_plan(p, Schedule::kDyn, 2)),
+               std::invalid_argument);
+}
+
+TEST(SrvPackKernel, RejectsPlanWithWrongSegmentCount) {
+  const CsrMatrix m = random_csr(40, 40, 4.0, 3);
+  const SrvPackMatrix one = SrvPackMatrix::build(m, {.c = 4});
+  const SrvPackMatrix two = SrvPackMatrix::build(
+      m, {.c = 4, .sigma = kSigmaAll, .cfs = true, .segment_fractions = {0.7}});
+  ASSERT_NE(one.segments().size(), two.segments().size());
+  const auto x = random_vector(40, 4);
+  std::vector<value_t> y(40);
+  SrvWorkspace ws;
+  EXPECT_THROW(spmv_srvpack(two, x, y, Schedule::kStCont, ws,
+                            build_srv_plan(one, Schedule::kStCont, 2)),
                std::invalid_argument);
 }
 
@@ -189,8 +280,7 @@ TEST(SrvPackKernel, EmptyMatrixProducesZeroVector) {
   const SrvPackMatrix p = SrvPackMatrix::build(m, {.c = 4});
   const auto x = random_vector(5, 2);
   std::vector<value_t> y(5, 1.0);
-  SrvWorkspace ws;
-  spmv_srvpack(p, x, y, Schedule::kStCont, ws);
+  run_srvpack_plan(p, x, y, Schedule::kStCont);
   for (value_t v : y) EXPECT_EQ(v, 0.0);
 }
 
@@ -202,8 +292,7 @@ TEST(SrvPackKernel, SingleColumnMatrix) {
       SrvPackMatrix::build(m, {.c = 4, .sigma = kSigmaAll, .cfs = true});
   const std::vector<value_t> x = {2.0};
   std::vector<value_t> y(8);
-  SrvWorkspace ws;
-  spmv_srvpack(p, x, y, Schedule::kDyn, ws);
+  run_srvpack_plan(p, x, y, Schedule::kDyn);
   for (index_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(y[static_cast<std::size_t>(i)], 2.0 * (i + 1));
   }

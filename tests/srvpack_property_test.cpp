@@ -1,9 +1,9 @@
 // Exhaustive property sweep over the SRVPack option space: every
 // combination of chunk height, sort window, CFS, and segmentation must
 // (a) round-trip the matrix exactly, (b) compute SpMV correctly under all
-// three scheduling policies, and (c) respect structural invariants
-// (chunk offsets monotone, stored >= logical nonzeros, row_order a
-// sub-permutation).
+// three scheduling policies' plans, bit-identical to a 1-block plan, and
+// (c) respect structural invariants (chunk offsets monotone, stored >=
+// logical nonzeros, row_order a sub-permutation).
 //
 // This is the product-space safety net behind the per-method unit tests:
 // a regression in any transform/layout interaction fails here even if the
@@ -22,6 +22,7 @@ namespace {
 using testing::expect_vectors_near;
 using testing::random_csr;
 using testing::random_vector;
+using testing::run_srvpack_plan;
 
 struct OptionCase {
   SrvBuildOptions opts;
@@ -69,10 +70,9 @@ TEST_P(SrvPackOptionSpace, RoundTripsAndComputesCorrectly) {
     const auto x = random_vector(71, seed + 7);
     std::vector<value_t> y_ref(93), y(93);
     spmv_reference(m, x, y_ref);
-    SrvWorkspace ws;
     for (Schedule s : {Schedule::kDyn, Schedule::kSt, Schedule::kStCont}) {
       std::fill(y.begin(), y.end(), -1.0);
-      spmv_srvpack(p, x, y, s, ws);
+      run_srvpack_plan(p, x, y, s);
       expect_vectors_near(y_ref, y);
     }
   }
@@ -155,8 +155,7 @@ TEST_P(SrvPackShapes, AllMethodsHandleExtremeShapes) {
                         .cfs = true,
                         .segment_fractions = {0.7}}}) {
     const SrvPackMatrix p = SrvPackMatrix::build(m, opts);
-    SrvWorkspace ws;
-    spmv_srvpack(p, x, y, Schedule::kDyn, ws);
+    run_srvpack_plan(p, x, y, Schedule::kDyn);
     expect_vectors_near(y_ref, y);
     EXPECT_EQ(CsrMatrix::from_coo(p.to_coo()), m);
   }

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "sparse/csr.hpp"
+#include "spmv/csr_kernels.hpp"
+#include "spmv/plan.hpp"
+#include "spmv/srvpack_kernels.hpp"
 #include "util/prng.hpp"
 
 namespace wise::testing {
@@ -47,6 +53,40 @@ inline void expect_vectors_near(std::span<const value_t> expected,
     EXPECT_NEAR(expected[i], actual[i], rel_tol * scale)
         << "at element " << i;
   }
+}
+
+/// y = A*x through a single-block generic (unspecialized) CSR plan: one
+/// thread runs every row with the generic loop. Every CSR plan result must
+/// equal it bit for bit, whatever the schedule, thread count or variants.
+inline std::vector<value_t> spmv_csr_one_block(const CsrMatrix& m,
+                                               std::span<const value_t> x) {
+  std::vector<value_t> y(static_cast<std::size_t>(m.nrows()));
+  spmv_csr(m, x, y, Schedule::kStCont, build_balanced_plan(m.row_ptr(), 1));
+  return y;
+}
+
+/// The SRVPack counterpart: one generic block per segment, run whole by
+/// one thread.
+inline std::vector<value_t> spmv_srvpack_one_block(
+    const SrvPackMatrix& p, std::span<const value_t> x) {
+  std::vector<value_t> y(static_cast<std::size_t>(p.nrows()));
+  SrvWorkspace ws;
+  spmv_srvpack(p, x, y, Schedule::kStCont, ws,
+               build_srv_plan(p, Schedule::kStCont, 1, false));
+  return y;
+}
+
+/// y = A*x through the schedule's SRVPack plan at the ambient thread count,
+/// checked bit for bit against spmv_srvpack_one_block.
+inline void run_srvpack_plan(const SrvPackMatrix& p,
+                             std::span<const value_t> x, std::span<value_t> y,
+                             Schedule sched) {
+  SrvWorkspace ws;
+  spmv_srvpack(p, x, y, sched, ws,
+               build_srv_plan(p, sched, omp_get_max_threads()));
+  const std::vector<value_t> y_one = spmv_srvpack_one_block(p, x);
+  EXPECT_TRUE(std::equal(y.begin(), y.end(), y_one.begin()))
+      << schedule_name(sched) << ": plan result differs from 1-block run";
 }
 
 /// The paper's running example matrix (Fig 1a): 8x8, entries named a..u.
