@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/env.hpp"
+#include "util/hash.hpp"
 
 namespace wise {
 
@@ -19,19 +20,9 @@ index_t scaled(index_t base_rows) {
       8, static_cast<index_t>(std::llround(static_cast<double>(base_rows) * s)));
 }
 
-std::uint64_t spec_seed(const std::string& id) {
-  // Stable per-id seed: FNV-1a over the id string.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char ch : id) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 MatrixSpec sci(MatrixSpec spec) {
   spec.family = "sci";
-  spec.seed = spec_seed(spec.id);
+  spec.seed = fnv1a(spec.id);  // stable per-id seed
   return spec;
 }
 
@@ -213,7 +204,7 @@ std::vector<MatrixSpec> random_corpus() {
     for (index_t n : rows) {
       for (double deg : degrees) {
         auto s = rmat_spec(cls, scaled(n), deg, 0);
-        s.seed = spec_seed(s.id);
+        s.seed = fnv1a(s.id);
         specs.push_back(std::move(s));
       }
     }
@@ -221,7 +212,7 @@ std::vector<MatrixSpec> random_corpus() {
   for (index_t n : rows) {
     for (double deg : degrees) {
       auto s = rgg_spec(scaled(n), deg, 0);
-      s.seed = spec_seed(s.id);
+      s.seed = fnv1a(s.id);
       specs.push_back(std::move(s));
     }
   }
@@ -247,7 +238,7 @@ std::vector<MatrixSpec> sweep_grid(RmatClass cls) {
     for (double deg : sweep_degrees()) {
       auto s = rmat_spec(cls, scaled(n), deg, 0);
       s.id = "sweep-" + s.id;
-      s.seed = spec_seed(s.id);
+      s.seed = fnv1a(s.id);
       specs.push_back(std::move(s));
     }
   }

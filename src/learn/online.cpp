@@ -117,16 +117,18 @@ std::optional<ModelBank> build_candidate(const ModelBank& live,
   return ModelBank::assemble(configs, std::move(trees), live.feature_dim());
 }
 
-/// The learner's retraining corpus: only samples of its own workload
-/// class. Foreign-class records stay in the shared WAL for their own
-/// bank's tooling but must never reach this bank's trees or holdout.
-std::vector<Sample> own_class_samples(const std::vector<Sample>& all,
-                                      WorkloadClass cls) {
+/// The learner trains the SpMV bank — the only bank its Publisher can
+/// publish — so only SpMV samples count. SpMM and SOLVE records stay in
+/// the shared WAL but must never reach the SpMV trees, holdout, drift
+/// window or guardrail.
+constexpr auto kOwnClass = static_cast<std::uint8_t>(WorkloadClass::kSpmv);
+
+/// The retraining corpus: the WAL's SpMV samples.
+std::vector<Sample> own_class_samples(const std::vector<Sample>& all) {
   std::vector<Sample> out;
   out.reserve(all.size());
-  const auto want = static_cast<std::uint8_t>(cls);
   for (const Sample& s : all) {
-    if (s.workload_class == want) out.push_back(s);
+    if (s.workload_class == kOwnClass) out.push_back(s);
   }
   return out;
 }
@@ -168,17 +170,6 @@ LearnOptions LearnOptions::from_env() {
               static_cast<std::int64_t>(o.guard_min_samples)));
   o.rollback_margin =
       env_double("WISE_LEARN_ROLLBACK_MARGIN", o.rollback_margin);
-  const std::string workload = env_string("WISE_LEARN_WORKLOAD", "spmv");
-  if (workload == "spmm") {
-    o.workload_class = WorkloadClass::kSpmm;
-  } else if (workload == "session") {
-    o.workload_class = WorkloadClass::kSession;
-  } else if (workload != "spmv") {
-    std::fprintf(stderr,
-                 "LearnOptions: unknown WISE_LEARN_WORKLOAD '%s'; using "
-                 "spmv\n",
-                 workload.c_str());
-  }
   return o;
 }
 
@@ -274,8 +265,8 @@ void OnlineLearner::observe(const Sample& s) {
 
   // Foreign workload classes (SpMM, SOLVE sessions) are durable in the
   // shared WAL above, but this learner's drift window, guardrail, and
-  // retrains describe only its own bank — don't let them pollute it.
-  if (s.workload_class != static_cast<std::uint8_t>(opts_.workload_class)) {
+  // retrains describe only the SpMV bank — don't let them pollute it.
+  if (s.workload_class != kOwnClass) {
     ++stats_.samples_foreign_class;
     return;
   }
@@ -338,8 +329,7 @@ void OnlineLearner::thread_main() {
 
 void OnlineLearner::retrain_cycle(std::unique_lock<std::mutex>& lk) {
   drift_pending_ = false;
-  const std::vector<Sample> all =
-      own_class_samples(log_.samples(), opts_.workload_class);
+  const std::vector<Sample> all = own_class_samples(log_.samples());
   if (all.size() < std::max<std::size_t>(2, opts_.min_samples)) return;
   if (samples_seen_ <= last_retrain_samples_) return;  // nothing new
   const std::uint64_t prev_retrain_mark = last_retrain_samples_;
@@ -423,7 +413,10 @@ bool OnlineLearner::publish_and_guard(std::unique_lock<std::mutex>& lk,
   prev_ = old_live;
   pre_swap_rate_ = window_rate;
   baseline_rate_ = window_rate;
+  // Drift that fired while this candidate trained measured the old bank;
+  // the new one starts with a fresh window and no pending retrain.
   drift_.reset();
+  drift_pending_ = false;
   guard_active_ = true;
   guard_n_ = 0;
   guard_misses_ = 0;
@@ -494,8 +487,7 @@ bool OnlineLearner::publish_candidate(ModelBank bank, bool validate) {
   }
 
   if (validate) {
-    const std::vector<Sample> all =
-        own_class_samples(log_.samples(), opts_.workload_class);
+    const std::vector<Sample> all = own_class_samples(log_.samples());
     lk.unlock();
     double cand_acc = 0;
     double live_acc = 0;

@@ -5,9 +5,10 @@
 // The OnlineLearner sits beside serve::Server and closes the loop between
 // prediction and measurement:
 //
-//   observe()   — called from the server's RUN path for sampled requests
-//                 (WISE_LEARN_SAMPLE_RATE). Appends the labeled sample to
-//                 the crash-safe WAL (learn/sample_log.hpp) and feeds the
+//   observe()   — called from the server's RUN, SPMM and SOLVE paths for
+//                 sampled requests (WISE_LEARN_SAMPLE_RATE). Appends the
+//                 labeled sample to the crash-safe WAL
+//                 (learn/sample_log.hpp); SpMV samples also feed the
 //                 sliding-window drift detector (learn/drift.hpp). A WAL
 //                 write error is counted and serving continues.
 //   background  — a retrain thread wakes when the misprediction rate
@@ -57,7 +58,7 @@ namespace wise::learn {
 struct LearnOptions {
   bool enabled = false;       ///< master switch (daemon: WISE_LEARN)
   std::string log_path;       ///< WAL file; empty = <data_dir>/samples.wal
-  double sample_rate = 1.0;   ///< fraction of RUNs observed
+  double sample_rate = 1.0;   ///< fraction of RUN/SPMM/SOLVE observed
   std::size_t log_max_records = 4096;  ///< WAL cap before rotation
 
   std::size_t window = 256;        ///< drift window (observations)
@@ -73,13 +74,6 @@ struct LearnOptions {
   std::size_t guard_min_samples = 32;  ///< post-swap observations before verdict
   double rollback_margin = 0.10;  ///< regression beyond this rolls back
 
-  /// Which workload this learner's drift window and retrains track. All
-  /// observed samples land in the WAL regardless of class (one durable log
-  /// per daemon), but only own-class samples feed the drift detector,
-  /// guardrail, and retraining corpus — SpMM and SOLVE traffic must not
-  /// trigger SpMV retrains or dilute the SpMV window.
-  WorkloadClass workload_class = WorkloadClass::kSpmv;
-
   TreeParams tree_params;  ///< refit hyperparameters
 
   /// Reads WISE_LEARN, WISE_LEARN_LOG, WISE_LEARN_SAMPLE_RATE,
@@ -87,8 +81,7 @@ struct LearnOptions {
   /// WISE_LEARN_DRIFT_THRESHOLD, WISE_LEARN_INTERVAL_MS,
   /// WISE_LEARN_MIN_CONFIG_SAMPLES, WISE_LEARN_HOLDOUT,
   /// WISE_LEARN_SWAP_MARGIN, WISE_LEARN_GUARD_MIN,
-  /// WISE_LEARN_ROLLBACK_MARGIN, WISE_LEARN_WORKLOAD (spmv|spmm|session)
-  /// over these defaults.
+  /// WISE_LEARN_ROLLBACK_MARGIN over these defaults.
   static LearnOptions from_env();
 };
 
@@ -102,8 +95,8 @@ struct LearnStats {
   std::uint64_t wal_errors = 0;     ///< append failures (serving continued)
   std::uint64_t wal_rotations = 0;  ///< log compactions
   std::uint64_t wal_legacy_records = 0;  ///< v1 records read as spmv
-  /// Samples logged but outside this learner's workload class (kept out of
-  /// the drift window and retrains).
+  /// Samples logged but not SpMV (kept out of the drift window and
+  /// retrains).
   std::uint64_t samples_foreign_class = 0;
 
   double mispredict_rate = 0;  ///< current sliding window (±1-class)

@@ -11,21 +11,11 @@
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace wise::learn {
 
 namespace {
-
-// Same FNV-1a as the model-bank checksums; local copy keeps learn/ from
-// depending on serve/ (which depends back on nothing here).
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 // A record is a feature vector (~67 doubles) plus a config name; anything
 // near this cap means the length field itself is damaged, in which case

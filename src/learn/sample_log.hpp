@@ -56,10 +56,10 @@
 namespace wise::learn {
 
 /// Which operation class produced a sample. Values are stable — they are
-/// the WAL's on-disk workload byte. Each OnlineLearner tracks exactly one
-/// class in its drift window (LearnOptions::workload_class); samples of
-/// other classes are still WAL-appended (they are valid training material
-/// for their own bank) but never pollute a foreign window.
+/// the WAL's on-disk workload byte. The OnlineLearner tracks only SpMV
+/// samples in its drift window; samples of other classes are still
+/// WAL-appended (they are valid training material for their own bank) but
+/// never pollute the SpMV window.
 enum class WorkloadClass : std::uint8_t {
   kSpmv = 0,     ///< single-vector RUN requests
   kSpmm = 1,     ///< multi-vector SpMM requests (src/spmm/)

@@ -3,18 +3,9 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
+#include "util/hash.hpp"
 
 namespace wise::serve {
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::string Fingerprint::hex() const {
   char buf[64];

@@ -44,11 +44,6 @@ struct FingerprintHash {
   }
 };
 
-/// FNV-1a over a byte range, continuing from `seed` (so multi-array hashes
-/// chain). Exposed for tests and for hashing auxiliary request data.
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t seed = 0xcbf29ce484222325ull);
-
 /// Fingerprints `m`. With `include_values` the value array is hashed too
 /// (needed when responses depend on numerics, e.g. RUN checksums).
 Fingerprint fingerprint_matrix(const CsrMatrix& m, bool include_values = false);

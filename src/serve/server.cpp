@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "features/extractor.hpp"
 #include "obs/metrics.hpp"
 #include "solvers/solvers.hpp"
+#include "sparse/utils.hpp"
 #include "spmv/plan.hpp"
 #include "util/aligned.hpp"
 #include "util/env.hpp"
@@ -103,6 +106,35 @@ std::size_t bounded_share(std::size_t share, std::size_t total) {
   return std::max<std::size_t>(1, share);
 }
 
+/// A request's input (RUN x, SPMM RHS block, SOLVE b): `n` values that are
+/// a pure function of the fingerprint, so a request served cold and one
+/// served from cache compute bit-identical answers — the property the
+/// determinism stress tests assert.
+aligned_vector<value_t> seeded_input(const Fingerprint& fp, std::size_t n) {
+  aligned_vector<value_t> v(n);
+  Xoshiro256 rng(0x517e5eedull ^ fp.structure);
+  for (auto& e : v) e = static_cast<value_t>(rng.next_double());
+  return v;
+}
+
+/// Response::checksum: the in-order double sum of a result vector.
+double checksum(std::span<const value_t> v) {
+  double sum = 0;
+  for (const value_t e : v) sum += static_cast<double>(e);
+  return sum;
+}
+
+/// One run of the SpMV training baseline — the library-default CSR
+/// configuration — on `x` (RUN and SOLVE samples label against it).
+auto csr_baseline(const CsrMatrix& m, std::span<const value_t> x) {
+  return [pm = PreparedMatrix::prepare(m, MethodConfig{}),
+          y = aligned_vector<value_t>(static_cast<std::size_t>(m.nrows())),
+          x]() mutable {
+    static thread_local SrvWorkspace ws;
+    pm.run(x, y, ws);
+  };
+}
+
 }  // namespace
 
 ServerOptions ServerOptions::from_env() {
@@ -134,7 +166,7 @@ Server::Server(std::shared_ptr<const Wise> predictor, ServerOptions options)
   if (!predictor) {
     throw std::invalid_argument("serve::Server: null predictor");
   }
-  bank_.store(new BankSlot{std::move(predictor), 1},
+  bank_.store(new BankSlot{.wise = std::move(predictor)},
               std::memory_order_seq_cst);
   serve_metric_ids();  // intern before the first request can record
 
@@ -186,26 +218,18 @@ Server::~Server() {
   retired_banks_.clear();
 }
 
-Server::BankSlot Server::acquire_bank() const {
-  // Pin → load → copy: the copy of the shared_ptr happens while the pin
-  // guarantees the slot is not freed; after that the shared_ptr itself
-  // keeps the Wise alive regardless of slot reclamation.
-  EpochDomain::Pin pin(EpochDomain::global());
-  return *bank_.load(std::memory_order_seq_cst);
-}
-
-std::uint64_t Server::publish_bank(std::shared_ptr<const Wise> wise) {
-  if (!wise) {
-    throw std::invalid_argument("serve::Server::publish_bank: null bank");
-  }
+std::uint64_t Server::swap_bank(
+    const std::function<void(BankSlot&)>& edit) {
   std::lock_guard<std::mutex> lock(publish_mutex_);
   BankSlot* old = bank_.load(std::memory_order_seq_cst);
-  auto* next = new BankSlot{std::move(wise), old->version + 1};
+  auto* next = new BankSlot(*old);
+  edit(*next);
+  const bool versioned = next->version != old->version;
   bank_.store(next, std::memory_order_seq_cst);
   retired_banks_.emplace_back(old, EpochDomain::global().retire_epoch());
 
   // Reclaim every retired slot no pinned reader can still observe. Readers
-  // that copied the shared_ptr before the swap keep serving the old bank —
+  // that copied a shared_ptr before the swap keep serving the old model —
   // only the slot shell is freed here.
   const std::uint64_t safe = EpochDomain::global().min_active();
   std::erase_if(retired_banks_, [safe](const auto& r) {
@@ -214,22 +238,53 @@ std::uint64_t Server::publish_bank(std::shared_ptr<const Wise> wise) {
     return true;
   });
 
-  // Cached choices and prepared entries embed the old bank's configurations;
-  // drop them so post-swap traffic re-infers. In-flight RUNs keep their
-  // entries alive through shared_ptr — nothing is interrupted.
-  for (auto& shard : shards_) {
-    shard->choice_cache.clear();
-    shard->prepared_cache.clear();
+  if (versioned) {
+    // Cached choices and prepared entries embed the old SpMV bank's
+    // configurations; drop them so post-swap traffic re-infers. In-flight
+    // RUNs keep their entries alive through shared_ptr — nothing is
+    // interrupted.
+    for (auto& shard : shards_) {
+      shard->choice_cache.clear();
+      shard->prepared_cache.clear();
+    }
+    obs::MetricsRegistry::global().set_gauge(
+        "serve.bank.version", static_cast<double>(next->version));
   }
-  obs::MetricsRegistry::global().set_gauge(
-      "serve.bank.version", static_cast<double>(next->version));
   return next->version;
 }
 
-std::uint64_t Server::bank_version() const { return acquire_bank().version; }
+std::uint64_t Server::publish_bank(std::shared_ptr<const Wise> wise) {
+  if (!wise) {
+    throw std::invalid_argument("serve::Server::publish_bank: null bank");
+  }
+  return swap_bank([&](BankSlot& slot) {
+    slot.wise = std::move(wise);
+    ++slot.version;
+  });
+}
+
+std::uint64_t Server::bank_version() const {
+  return read_bank([](const BankSlot& slot) { return slot.version; });
+}
 
 std::shared_ptr<const Wise> Server::predictor() const {
-  return acquire_bank().wise;
+  return read_bank([](const BankSlot& slot) { return slot.wise; });
+}
+
+void Server::set_spmm_bank(std::shared_ptr<const spmm::SpmmBank> bank) {
+  swap_bank([&](BankSlot& slot) { slot.spmm = std::move(bank); });
+}
+
+std::shared_ptr<const spmm::SpmmBank> Server::spmm_bank() const {
+  return read_bank([](const BankSlot& slot) { return slot.spmm; });
+}
+
+void Server::set_amortized(std::shared_ptr<const AmortizedWise> model) {
+  swap_bank([&](BankSlot& slot) { slot.amortized = std::move(model); });
+}
+
+std::shared_ptr<const AmortizedWise> Server::amortized() const {
+  return read_bank([](const BankSlot& slot) { return slot.amortized; });
 }
 
 void Server::attach_learner(std::shared_ptr<learn::OnlineLearner> learner) {
@@ -238,7 +293,8 @@ void Server::attach_learner(std::shared_ptr<learn::OnlineLearner> learner) {
     learner_raw_.store(nullptr, std::memory_order_release);
     return;
   }
-  BankSlot* slot = bank_.load(std::memory_order_seq_cst);
+  // Slots are only retired under publish_mutex_, so this one stays live.
+  const BankSlot* slot = bank_.load(std::memory_order_seq_cst);
   learner->bind(
       [this](std::shared_ptr<const Wise> candidate) {
         return publish_bank(std::move(candidate));
@@ -252,26 +308,6 @@ void Server::attach_learner(std::shared_ptr<learn::OnlineLearner> learner) {
 std::shared_ptr<learn::OnlineLearner> Server::learner() const {
   std::lock_guard<std::mutex> lock(publish_mutex_);
   return learners_.empty() ? nullptr : learners_.back();
-}
-
-void Server::set_spmm_bank(std::shared_ptr<const spmm::SpmmBank> bank) {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  spmm_bank_ = std::move(bank);
-}
-
-std::shared_ptr<const spmm::SpmmBank> Server::spmm_bank() const {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  return spmm_bank_;
-}
-
-void Server::set_amortized(std::shared_ptr<const AmortizedWise> model) {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  amortized_ = std::move(model);
-}
-
-std::shared_ptr<const AmortizedWise> Server::amortized() const {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  return amortized_;
 }
 
 std::size_t Server::shard_of(const Fingerprint& fp) const {
@@ -420,18 +456,20 @@ std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
                                                      bool preset) {
   home.counters.prepares.fetch_add(1, std::memory_order_relaxed);
   const std::size_t shard_budget = home.prepared_cache.budget();
-  const BankSlot slot = acquire_bank();
+  const auto [bank, version] = read_bank([](const BankSlot& slot) {
+    return std::pair{slot.wise, slot.version};
+  });
   // A preset choice (the SOLVE path's amortized selection) is converted
   // as-is; otherwise the bank chooses as part of prepare.
   PreparedMatrix pm = preset
                           ? PreparedMatrix::prepare(*req.matrix, choice.config)
-                          : slot.wise->prepare(*req.matrix, choice);
+                          : bank->prepare(*req.matrix, choice);
   if (shard_budget > 0 && choice.config.kind != MethodKind::kCsr &&
       prepared_entry_bytes(*req.matrix, pm) > shard_budget) {
     // A layout that alone overflows its shard's prepared-cache budget would
     // evict the shard's whole working set and still not be cacheable: serve
     // it (and cache it) as the cheapest CSR variant instead.
-    choice.config = cheapest_csr_config(*slot.wise);
+    choice.config = cheapest_csr_config(*bank);
     choice.predicted_class = 0;
     choice.fallback_reason =
         "serve: converted layout exceeds WISE_SERVE_CACHE_BYTES budget of " +
@@ -446,7 +484,7 @@ std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
   entry->choice = choice;
   entry->bytes = prepared_entry_bytes(*req.matrix, pm);
   entry->prepared = std::move(pm);
-  entry->bank_version = slot.version;
+  entry->bank_version = version;
   // An amortized (preset) choice answers "best for N iterations", not the
   // bank's N-agnostic PREDICT — keep it out of the choice tier.
   if (!preset) home.choice_cache.put(fp, choice);
@@ -511,16 +549,49 @@ std::shared_ptr<PreparedEntry> Server::prepare_or_join(Shard& home,
   }
 }
 
+template <typename MakeBaseline>
+void Server::sample(Shard& home, const Response& rsp, learn::WorkloadClass cls,
+                    int iters, double chosen_per_iter,
+                    MakeBaseline make_baseline) {
+  // Gated by one atomic load when no learner is attached. Fallback choices
+  // carry no feature vector (the pipeline degraded before inference) —
+  // there is nothing to retrain on.
+  auto* lr = learner_raw_.load(std::memory_order_acquire);
+  if (lr == nullptr || rsp.choice.features == nullptr ||
+      chosen_per_iter <= 0.0 || !lr->should_sample()) {
+    return;
+  }
+  try {
+    auto baseline = make_baseline();
+    Timer t;
+    for (int i = 0; i < iters; ++i) baseline();
+    const double baseline_per_iter = t.seconds() / iters;
+    if (baseline_per_iter <= 0.0) return;
+
+    learn::Sample s;
+    s.fingerprint = rsp.fingerprint.structure;
+    s.bank_version = rsp.bank_version;
+    s.predicted_class = rsp.choice.predicted_class;
+    s.rel_time = chosen_per_iter / baseline_per_iter;
+    s.observed_class = classify_relative_time(s.rel_time);
+    // kSpmm names its SpmmConfig itself; the others serve rsp.choice.
+    s.config_name = rsp.config_name.empty() ? rsp.choice.config.name()
+                                            : rsp.config_name;
+    s.features = *rsp.choice.features;
+    s.workload_class = static_cast<std::uint8_t>(cls);
+    lr->observe(s);
+    home.counters.sampled.fetch_add(1, std::memory_order_relaxed);
+  } catch (...) {
+    // Sampling rides on a successful request; it must never fail one.
+  }
+}
+
 Response Server::run_prepared(Shard& home, const Request& req, Response rsp,
                               const std::shared_ptr<PreparedEntry>& entry) {
   const CsrMatrix& m = *entry->matrix;
-  // The input vector is a pure function of the fingerprint, so a RUN served
-  // cold and a RUN served from cache compute bit-identical answers — the
-  // property the determinism stress test asserts.
-  aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()));
+  const aligned_vector<value_t> x =
+      seeded_input(rsp.fingerprint, static_cast<std::size_t>(m.ncols()));
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  Xoshiro256 rng(0x517e5eedull ^ rsp.fingerprint.structure);
-  for (auto& v : x) v = static_cast<value_t>(rng.next_double());
 
   const int iters = std::max(1, req.iters);
   {
@@ -532,71 +603,28 @@ Response Server::run_prepared(Shard& home, const Request& req, Response rsp,
     for (int i = 0; i < iters; ++i) entry->prepared.run(x, y, run_ws);
     rsp.spmv_seconds = t.seconds() / iters;
   }
-  double sum = 0;
-  for (const value_t v : y) sum += static_cast<double>(v);
-  rsp.checksum = sum;
+  rsp.checksum = checksum(y);
 
-  // Online-learning tap: a sampled RUN additionally times the CSR baseline
-  // on the same input, which turns (predicted class, measured relative
-  // time) into a labeled observation. Gated by one atomic load when no
-  // learner is attached.
-  auto* lr = learner_raw_.load(std::memory_order_acquire);
-  if (lr != nullptr && lr->should_sample()) {
-    observe_run(home, req, rsp, entry, {x.data(), x.size()});
-  }
+  // Online-learning tap: label against the same baseline the training
+  // pipeline uses, on the same input and iteration count as the request.
+  sample(home, rsp, learn::WorkloadClass::kSpmv, iters, rsp.spmv_seconds,
+         [&] { return csr_baseline(m, x); });
   return rsp;
-}
-
-void Server::observe_run(Shard& home, const Request& req, const Response& rsp,
-                         const std::shared_ptr<PreparedEntry>& entry,
-                         std::span<const value_t> x) {
-  auto* lr = learner_raw_.load(std::memory_order_acquire);
-  if (lr == nullptr) return;
-  // Fallback choices carry no feature vector (pipeline degraded before
-  // inference) — there is nothing to retrain on.
-  if (!entry->choice.features) return;
-  try {
-    const CsrMatrix& m = *entry->matrix;
-    // Label against the same baseline the training pipeline uses: the
-    // library-default CSR configuration, on the same input vector and
-    // iteration count as the request itself.
-    PreparedMatrix baseline = PreparedMatrix::prepare(m, MethodConfig{});
-    aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-    static thread_local SrvWorkspace baseline_ws;
-    const int iters = std::max(1, req.iters);
-    Timer t;
-    for (int i = 0; i < iters; ++i) baseline.run(x, y, baseline_ws);
-    const double baseline_per_iter = t.seconds() / iters;
-    if (baseline_per_iter <= 0.0) return;
-
-    learn::Sample s;
-    s.fingerprint = rsp.fingerprint.structure;
-    s.bank_version = entry->bank_version;
-    s.predicted_class = entry->choice.predicted_class;
-    s.rel_time = rsp.spmv_seconds / baseline_per_iter;
-    s.observed_class = classify_relative_time(s.rel_time);
-    s.config_name = entry->choice.config.name();
-    s.features = *entry->choice.features;
-    lr->observe(s);
-    home.counters.sampled.fetch_add(1, std::memory_order_relaxed);
-  } catch (...) {
-    // Sampling rides on a successful request; it must never fail one.
-  }
 }
 
 Response Server::process_spmm(Shard& home, const Request& req, Response rsp) {
   const CsrMatrix& m = *req.matrix;
   const index_t k = static_cast<index_t>(std::clamp(req.rhs_cols, 1, 64));
-  const auto bank = spmm_bank();
-  rsp.bank_version = bank_version();
+  const auto [bank, version] = read_bank([](const BankSlot& slot) {
+    return std::pair{slot.spmm, slot.version};
+  });
+  rsp.bank_version = version;
 
   spmm::SpmmChoice choice;
-  std::shared_ptr<const std::vector<double>> features;
   if (bank != nullptr && bank->trained()) {
-    auto fv =
-        std::make_shared<std::vector<double>>(extract_features(m).values);
-    choice = bank->choose(*fv);
-    features = std::move(fv);
+    rsp.choice.features = std::make_shared<const std::vector<double>>(
+        extract_features(m).values);
+    choice = bank->choose(*rsp.choice.features);
     rsp.choice.predicted_class = choice.predicted_class;
   } else {
     choice.config = spmm::spmm_method_configs()[0];
@@ -605,14 +633,11 @@ Response Server::process_spmm(Shard& home, const Request& req, Response rsp) {
   }
   rsp.config_name = choice.config.name();
 
-  // Seeded like kRun: the RHS is a pure function of the fingerprint, so
-  // repeated SPMMs of one matrix are bit-identical at any shard count.
-  aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()) *
-                            static_cast<std::size_t>(k));
+  const aligned_vector<value_t> x = seeded_input(
+      rsp.fingerprint,
+      static_cast<std::size_t>(m.ncols()) * static_cast<std::size_t>(k));
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()) *
                             static_cast<std::size_t>(k));
-  Xoshiro256 rng(0x517e5eedull ^ rsp.fingerprint.structure);
-  for (auto& v : x) v = static_cast<value_t>(rng.next_double());
 
   const int iters = std::max(1, req.iters);
   const SpmvPlan plan =
@@ -622,51 +647,17 @@ Response Server::process_spmm(Shard& home, const Request& req, Response rsp) {
     spmm::spmm_csr(m, x, y, k, choice.config, plan);
   }
   rsp.spmv_seconds = t.seconds() / iters;
-  double sum = 0;
-  for (const value_t v : y) sum += static_cast<double>(v);
-  rsp.checksum = sum;
+  rsp.checksum = checksum(y);
   home.counters.spmm_requests.fetch_add(1, std::memory_order_relaxed);
 
-  auto* lr = learner_raw_.load(std::memory_order_acquire);
-  if (lr != nullptr && features != nullptr && lr->should_sample()) {
-    observe_spmm(home, rsp, choice, features, m, x, y, k, iters,
-                 rsp.spmv_seconds);
-  }
+  // Label against the SpMM training baseline: kb=1/Dyn, i.e. k repeated
+  // plan-SpMVs, on the same RHS.
+  sample(home, rsp, learn::WorkloadClass::kSpmm, iters, rsp.spmv_seconds, [&] {
+    return [&] {
+      spmm::spmm_csr(m, x, y, k, spmm::spmm_method_configs()[0]);
+    };
+  });
   return rsp;
-}
-
-void Server::observe_spmm(
-    Shard& home, const Response& rsp, const spmm::SpmmChoice& choice,
-    const std::shared_ptr<const std::vector<double>>& features,
-    const CsrMatrix& m, std::span<const value_t> x, std::span<value_t> y,
-    index_t k, int iters, double chosen_per_iter) {
-  auto* lr = learner_raw_.load(std::memory_order_acquire);
-  if (lr == nullptr || features == nullptr) return;
-  try {
-    // Label against the SpMM training baseline: kb=1/Dyn, i.e. k repeated
-    // plan-SpMVs, on the same RHS.
-    const spmm::SpmmConfig& baseline = spmm::spmm_method_configs()[0];
-    Timer t;
-    for (int i = 0; i < iters; ++i) {
-      spmm::spmm_csr(m, x, y, k, baseline);
-    }
-    const double baseline_per_iter = t.seconds() / iters;
-    if (baseline_per_iter <= 0.0 || chosen_per_iter <= 0.0) return;
-
-    learn::Sample s;
-    s.fingerprint = rsp.fingerprint.structure;
-    s.bank_version = rsp.bank_version;
-    s.predicted_class = choice.predicted_class;
-    s.rel_time = chosen_per_iter / baseline_per_iter;
-    s.observed_class = classify_relative_time(s.rel_time);
-    s.config_name = choice.config.name();
-    s.features = *features;
-    s.workload_class = static_cast<std::uint8_t>(learn::WorkloadClass::kSpmm);
-    lr->observe(s);
-    home.counters.sampled.fetch_add(1, std::memory_order_relaxed);
-  } catch (...) {
-    // Sampling rides on a successful request; it must never fail one.
-  }
 }
 
 Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
@@ -674,6 +665,14 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
   if (m.nrows() != m.ncols()) {
     throw Error(ErrorCategory::kValidation,
                 "SOLVE requires a square matrix", {.stage = stage::kServe});
+  }
+  // Request validation, before any choose or conversion work.
+  if (req.solver != "cg" && req.solver != "jacobi" &&
+      req.solver != "bicgstab") {
+    throw Error(ErrorCategory::kValidation,
+                "unknown solver '" + req.solver +
+                    "' (expected cg, jacobi, or bicgstab)",
+                {.stage = stage::kServe});
   }
   home.counters.sessions_active.fetch_add(1, std::memory_order_relaxed);
   struct ActiveGuard {
@@ -727,36 +726,19 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
     ++spmv_calls;
   };
 
-  // b is a pure function of the fingerprint (same seed family as kRun), so
-  // a warm session reproduces a cold session's iterates bit for bit.
-  aligned_vector<value_t> b(static_cast<std::size_t>(m.nrows()));
-  Xoshiro256 rng(0x517e5eedull ^ rsp.fingerprint.structure);
-  for (auto& v : b) v = static_cast<value_t>(rng.next_double());
+  const aligned_vector<value_t> b =
+      seeded_input(rsp.fingerprint, static_cast<std::size_t>(m.nrows()));
 
   SolverOptions sopts;
   sopts.max_iterations = max_iters;
   SolverResult result;
   Timer solve_t;
   if (req.solver == "jacobi") {
-    aligned_vector<value_t> diag(static_cast<std::size_t>(m.nrows()), 0.0);
-    const nnz_t* rp = m.row_ptr().data();
-    const index_t* ci = m.col_idx().data();
-    const value_t* va = m.vals().data();
-    for (index_t i = 0; i < m.nrows(); ++i) {
-      for (nnz_t p = rp[i]; p < rp[i + 1]; ++p) {
-        if (ci[p] == i) diag[static_cast<std::size_t>(i)] = va[p];
-      }
-    }
-    result = solve_jacobi(op, diag, b, sopts);
+    result = solve_jacobi(op, extract_diagonal(m), b, sopts);
   } else if (req.solver == "bicgstab") {
     result = solve_bicgstab(op, b, sopts);
-  } else if (req.solver == "cg") {
-    result = solve_cg(op, b, sopts);
   } else {
-    throw Error(ErrorCategory::kValidation,
-                "unknown solver '" + req.solver +
-                    "' (expected cg, jacobi, or bicgstab)",
-                {.stage = stage::kServe});
+    result = solve_cg(op, b, sopts);
   }
   const double solve_seconds = solve_t.seconds();
 
@@ -766,55 +748,18 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
   rsp.spmv_seconds = result.iterations > 0
                          ? solve_seconds / result.iterations
                          : solve_seconds;
-  double sum = 0;
-  for (const value_t v : result.x) sum += static_cast<double>(v);
-  rsp.checksum = sum;
+  rsp.checksum = checksum(result.x);
 
   home.counters.sessions_completed.fetch_add(1, std::memory_order_relaxed);
   home.counters.session_iters.fetch_add(
       static_cast<std::uint64_t>(std::max(0, result.iterations)),
       std::memory_order_relaxed);
 
-  auto* lr = learner_raw_.load(std::memory_order_acquire);
-  if (lr != nullptr && spmv_calls > 0 && entry->choice.features != nullptr &&
-      lr->should_sample()) {
-    observe_session(home, rsp, entry, b, spmv_total / spmv_calls);
-  }
+  sample(home, rsp, learn::WorkloadClass::kSession,
+         std::clamp(rsp.solve_iterations, 1, 4),
+         spmv_calls > 0 ? spmv_total / spmv_calls : 0.0,
+         [&] { return csr_baseline(*entry->matrix, b); });
   return rsp;
-}
-
-void Server::observe_session(Shard& home, const Response& rsp,
-                             const std::shared_ptr<PreparedEntry>& entry,
-                             std::span<const value_t> b,
-                             double chosen_per_spmv) {
-  auto* lr = learner_raw_.load(std::memory_order_acquire);
-  if (lr == nullptr || entry->choice.features == nullptr) return;
-  try {
-    const CsrMatrix& m = *entry->matrix;
-    PreparedMatrix baseline = PreparedMatrix::prepare(m, MethodConfig{});
-    aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-    static thread_local SrvWorkspace baseline_ws;
-    const int iters = std::clamp(rsp.solve_iterations, 1, 4);
-    Timer t;
-    for (int i = 0; i < iters; ++i) baseline.run(b, y, baseline_ws);
-    const double baseline_per_iter = t.seconds() / iters;
-    if (baseline_per_iter <= 0.0 || chosen_per_spmv <= 0.0) return;
-
-    learn::Sample s;
-    s.fingerprint = rsp.fingerprint.structure;
-    s.bank_version = entry->bank_version;
-    s.predicted_class = entry->choice.predicted_class;
-    s.rel_time = chosen_per_spmv / baseline_per_iter;
-    s.observed_class = classify_relative_time(s.rel_time);
-    s.config_name = entry->choice.config.name();
-    s.features = *entry->choice.features;
-    s.workload_class =
-        static_cast<std::uint8_t>(learn::WorkloadClass::kSession);
-    lr->observe(s);
-    home.counters.sampled.fetch_add(1, std::memory_order_relaxed);
-  } catch (...) {
-    // Sampling rides on a successful request; it must never fail one.
-  }
 }
 
 Response Server::process(Shard& exec, const Request& req,
@@ -871,9 +816,11 @@ Response Server::process(Shard& exec, const Request& req,
         // cached and the version is observability, not a correctness key).
         rsp.bank_version = bank_version();
       } else {
-        const BankSlot slot = acquire_bank();
-        rsp.choice = slot.wise->choose(*req.matrix);
-        rsp.bank_version = slot.version;
+        const auto [bank, version] = read_bank([](const BankSlot& slot) {
+          return std::pair{slot.wise, slot.version};
+        });
+        rsp.choice = bank->choose(*req.matrix);
+        rsp.bank_version = version;
         home.choice_cache.put(rsp.fingerprint, rsp.choice);
       }
     } else if (req.kind == RequestKind::kSpmm) {

@@ -21,6 +21,14 @@
 // counters are per-shard relaxed atomics, aggregated only when stats() is
 // called.
 //
+// Models: the SpMV bank, the SpMM bank and the amortized SOLVE selector
+// live in ONE epoch-protected slot together with the SpMV bank's version.
+// Requests read it under an epoch pin and copy out only the model they
+// use, so no request kind takes a mutex to reach a model. publish_bank,
+// set_spmm_bank and set_amortized all install through the same
+// copy-replace-retire swap; only publish_bank bumps the version and clears
+// the cache tiers (cached entries embed SpMV choices, nothing else).
+//
 // Cold misses COALESCE: concurrent requests for the same not-yet-prepared
 // fingerprint register on the shard's in-flight table and share one
 // prepare — one leader converts the layout, the others park on a
@@ -57,11 +65,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -189,7 +197,7 @@ struct ServerStats {
   std::uint64_t degraded = 0;  ///< serve-level CSR demotions
   std::uint64_t coalesced = 0;  ///< requests that joined an in-flight prepare
   std::uint64_t prepares = 0;   ///< layout conversions actually executed
-  std::uint64_t sampled = 0;    ///< RUNs observed by the online learner
+  std::uint64_t sampled = 0;    ///< requests observed by the online learner
   std::uint64_t spmm_requests = 0;   ///< kSpmm requests completed
   std::uint64_t sessions_active = 0;     ///< kSolve sessions running now
   std::uint64_t sessions_completed = 0;  ///< kSolve sessions finished
@@ -249,22 +257,25 @@ class Server {
   std::shared_ptr<const Wise> predictor() const;
 
   /// Attaches an online learner: binds it to publish_bank and the current
-  /// bank, start()s it, and begins sampling RUN completions into it at the
-  /// learner's sample rate (each sampled RUN additionally times the CSR
-  /// baseline to label the observation). Pass nullptr to detach.
+  /// bank, start()s it, and begins sampling RUN, SPMM and SOLVE
+  /// completions into it at the learner's sample rate (each sampled request
+  /// additionally times its workload's baseline to label the observation).
+  /// Pass nullptr to detach.
   void attach_learner(std::shared_ptr<learn::OnlineLearner> learner);
   std::shared_ptr<learn::OnlineLearner> learner() const;
 
-  /// Installs the SpMM model bank serving kSpmm requests. Independent of
-  /// the SpMV bank (publish_bank never touches it — the §7 add-a-method
-  /// separation). Without one, kSpmm serves the kb=1 baseline with a
-  /// fallback note. Thread-safe.
+  /// Installs the SpMM model bank serving kSpmm requests (nullptr
+  /// uninstalls). Independent of the SpMV bank (publish_bank never touches
+  /// it — the §7 add-a-method separation) and unversioned: installing one
+  /// neither bumps bank_version() nor clears the caches. Without one, kSpmm
+  /// serves the kb=1 baseline with a fallback note. Thread-safe.
   void set_spmm_bank(std::shared_ptr<const spmm::SpmmBank> bank);
   std::shared_ptr<const spmm::SpmmBank> spmm_bank() const;
 
   /// Installs the amortized dual-model selector kSolve sessions choose
-  /// with. Without one, sessions fall back to the SpMV bank's N-agnostic
-  /// choose(). Thread-safe.
+  /// with (nullptr uninstalls; unversioned like set_spmm_bank). Without
+  /// one, sessions fall back to the SpMV bank's N-agnostic choose().
+  /// Thread-safe.
   void set_amortized(std::shared_ptr<const AmortizedWise> model);
   std::shared_ptr<const AmortizedWise> amortized() const;
 
@@ -310,17 +321,30 @@ class Server {
     ShardCounters counters;
   };
 
-  /// The serving bank plus its version, swapped as one unit so a reader
-  /// never pairs a new bank with an old version number.
+  /// Every model the server chooses with, plus the SpMV bank's version,
+  /// swapped as one unit so a reader never pairs a bank with another
+  /// bank's version.
   struct BankSlot {
     std::shared_ptr<const Wise> wise;
+    std::shared_ptr<const spmm::SpmmBank> spmm;
+    std::shared_ptr<const AmortizedWise> amortized;
     std::uint64_t version = 1;
   };
 
-  /// Epoch-protected snapshot of the current slot: pin, load, copy the
-  /// shared_ptr, unpin. Lock-free; the shared_ptr keeps the Wise alive
-  /// after the pin drops even if the slot itself is retired.
-  BankSlot acquire_bank() const;
+  /// Reads the live slot under an epoch pin: `pick` copies out what the
+  /// caller needs, and the copied shared_ptrs keep their models alive after
+  /// the pin drops even if the slot itself is retired. Lock-free.
+  template <typename Pick>
+  auto read_bank(Pick pick) const {
+    EpochDomain::Pin pin(EpochDomain::global());
+    return pick(*bank_.load(std::memory_order_seq_cst));
+  }
+
+  /// The one writer: under publish_mutex_, copies the live slot, lets
+  /// `edit` replace a field, publishes the copy and retires the old slot.
+  /// A version change (publish_bank only) also clears both cache tiers of
+  /// every shard. Returns the published version.
+  std::uint64_t swap_bank(const std::function<void(BankSlot&)>& edit);
 
   Response process(Shard& exec, const Request& req,
                    std::chrono::steady_clock::time_point enqueued,
@@ -333,26 +357,17 @@ class Server {
   /// kSolve: amortized choose + cached prepare + full iterative solve.
   /// Samples carry workload class session.
   Response process_solve(Shard& home, const Request& req, Response rsp);
-  /// Labels a sampled RUN: times the CSR baseline on the same input,
-  /// classifies the measured relative time against the request's own
-  /// timing, and feeds the learner. Any failure is swallowed — sampling
-  /// never fails a request.
-  void observe_run(Shard& home, const Request& req, const Response& rsp,
-                   const std::shared_ptr<PreparedEntry>& entry,
-                   std::span<const value_t> x);
-  /// Labels a sampled SpMM: times the kb=1/Dyn baseline on the same RHS.
-  /// Workload class spmm; failures swallowed like observe_run.
-  void observe_spmm(Shard& home, const Response& rsp,
-                    const spmm::SpmmChoice& choice,
-                    const std::shared_ptr<const std::vector<double>>& features,
-                    const CsrMatrix& m, std::span<const value_t> x,
-                    std::span<value_t> y, index_t k, int iters,
-                    double chosen_per_iter);
-  /// Labels a sampled SOLVE session: times the CSR baseline SpMV against
-  /// the session's measured per-SpMV time. Workload class session.
-  void observe_session(Shard& home, const Response& rsp,
-                       const std::shared_ptr<PreparedEntry>& entry,
-                       std::span<const value_t> b, double chosen_per_spmv);
+  /// Labels a sampled request for the online learner: times `iters` runs
+  /// of the workload class's training baseline (`make_baseline()` returns
+  /// one run of it on the request's own input), classifies the request's
+  /// `chosen_per_iter` against it, and appends the observation with the
+  /// fingerprint, bank version, predicted class, config name and features
+  /// `rsp` carries. A no-op without a learner, a feature vector or a
+  /// positive time; failures are swallowed — sampling never fails a
+  /// request.
+  template <typename MakeBaseline>
+  void sample(Shard& home, const Response& rsp, learn::WorkloadClass cls,
+              int iters, double chosen_per_iter, MakeBaseline make_baseline);
   /// Cache-miss path: join the shard's in-flight prepare for `fp` or become
   /// its leader. Exactly one conversion runs per fingerprint no matter how
   /// many requests race. Marks rsp.coalesced on joiners. With `preset` the
@@ -370,11 +385,13 @@ class Server {
                                                bool preset = false);
   static MethodConfig cheapest_csr_config(const Wise& wise);
 
-  /// Current bank slot; readers go through acquire_bank(). Swapped-out
-  /// slots are retired to the global epoch domain and reclaimed on later
-  /// publishes (or at destruction, after the pools are joined).
+  /// Current bank slot; readers go through read_bank(). Swapped-out slots
+  /// are retired to the global epoch domain and reclaimed on later swaps
+  /// (or at destruction, after the pools are joined).
   std::atomic<BankSlot*> bank_{nullptr};
-  mutable std::mutex publish_mutex_;  ///< serializes publish_bank()
+  /// Serializes swap_bank() and the learner plumbing; never taken on the
+  /// request path.
+  mutable std::mutex publish_mutex_;
   std::vector<std::pair<BankSlot*, std::uint64_t>>
       retired_banks_;  ///< guarded by publish_mutex_; {slot, retire epoch}
 
@@ -388,11 +405,6 @@ class Server {
   /// re-attach). Guarded by publish_mutex_ except the atomic.
   std::atomic<learn::OnlineLearner*> learner_raw_{nullptr};
   std::vector<std::shared_ptr<learn::OnlineLearner>> learners_;
-
-  /// SpMM bank + amortized selector (guarded by publish_mutex_; read once
-  /// per request on the cold inference path — never on a warm hit).
-  std::shared_ptr<const spmm::SpmmBank> spmm_bank_;
-  std::shared_ptr<const AmortizedWise> amortized_;
 
   std::atomic<bool> accepting_{true};
   std::atomic<bool> cancelled_{false};

@@ -7,28 +7,13 @@
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace wise {
 
 namespace {
 
 constexpr char kMagic[8] = {'W', 'I', 'S', 'E', 'C', 'S', 'R', '1'};
-
-/// Running FNV-1a over raw bytes.
-class Checksum {
- public:
-  void update(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 [[noreturn]] void fail(ErrorCategory cat, const std::string& path,
                        std::size_t offset, const std::string& what) {
@@ -44,7 +29,7 @@ class Checksum {
 struct Reader {
   std::istream& in;
   const std::string& path;
-  Checksum sum;
+  std::uint64_t sum = kFnv1aSeed;  ///< running FNV-1a over the payload
   std::size_t offset = 0;
 
   void read(void* data, std::size_t bytes, const char* what) {
@@ -55,7 +40,7 @@ struct Reader {
            std::string("truncated ") + what + ": expected " +
                std::to_string(bytes) + " bytes, got " + std::to_string(got));
     }
-    sum.update(data, bytes);
+    sum = fnv1a(data, bytes, sum);
     offset += bytes;
   }
 };
@@ -71,11 +56,11 @@ std::int64_t bytes_remaining(std::istream& in) {
   return static_cast<std::int64_t>(end - pos);
 }
 
-void write_raw(std::ostream& out, Checksum& sum, const void* data,
+void write_raw(std::ostream& out, std::uint64_t& sum, const void* data,
                std::size_t bytes) {
   out.write(static_cast<const char*>(data),
             static_cast<std::streamsize>(bytes));
-  sum.update(data, bytes);
+  sum = fnv1a(data, bytes, sum);
 }
 
 CsrMatrix read_impl(std::istream& in, const std::string& path) {
@@ -136,7 +121,7 @@ CsrMatrix read_impl(std::istream& in, const std::string& path) {
   if (static_cast<std::size_t>(in.gcount()) != sizeof stored) {
     fail(ErrorCategory::kParse, path, r.offset, "truncated checksum");
   }
-  if (stored != r.sum.value()) {
+  if (stored != r.sum) {
     fail(ErrorCategory::kValidation, path, r.offset, "checksum mismatch");
   }
   // The CsrMatrix constructor validates structure (monotone row_ptr, sorted
@@ -149,7 +134,7 @@ CsrMatrix read_impl(std::istream& in, const std::string& path) {
 }  // namespace
 
 void write_csr_binary(std::ostream& out, const CsrMatrix& m) {
-  Checksum sum;
+  std::uint64_t sum = kFnv1aSeed;
   out.write(kMagic, sizeof kMagic);
 
   const std::int64_t dims[3] = {m.nrows(), m.ncols(), m.nnz()};
@@ -160,8 +145,7 @@ void write_csr_binary(std::ostream& out, const CsrMatrix& m) {
             m.col_idx().size() * sizeof(index_t));
   write_raw(out, sum, m.vals().data(), m.vals().size() * sizeof(value_t));
 
-  const std::uint64_t checksum = sum.value();
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+  out.write(reinterpret_cast<const char*>(&sum), sizeof sum);
   if (!out) {
     throw Error(ErrorCategory::kResource, "write_csr_binary: write failed");
   }

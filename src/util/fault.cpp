@@ -5,23 +5,9 @@
 #include <set>
 
 #include "util/env.hpp"
+#include "util/hash.hpp"
 
 namespace wise {
-
-namespace {
-
-/// FNV-1a over the stage name: gives each stage an independent PRNG stream
-/// derived from one seed.
-std::uint64_t stage_hash(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 FaultInjector FaultInjector::from_env() {
   FaultInjector inj(static_cast<std::uint64_t>(env_int("WISE_FAULT_SEED", 0)));
@@ -74,7 +60,9 @@ void FaultInjector::arm(std::string_view stg, double rate) {
   rate = rate < 0.0 ? 0.0 : (rate > 1.0 ? 1.0 : rate);
   StageState state;
   state.rate = rate;
-  state.rng = SplitMix64(seed_ ^ stage_hash(stg));
+  // FNV-1a over the stage name: each stage gets an independent PRNG stream
+  // derived from one seed.
+  state.rng = SplitMix64(seed_ ^ fnv1a(stg));
   std::lock_guard<std::mutex> lock(mutex_);
   stages_.insert_or_assign(std::string(stg), state);
 }

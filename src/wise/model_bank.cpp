@@ -4,11 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "features/extractor.hpp"
 #include "hw/probe.hpp"
+#include "ml/tree_record.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -17,22 +17,6 @@
 namespace wise {
 
 namespace {
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw Error(ErrorCategory::kModelBank, "ModelBank::load: " + what,
@@ -214,12 +198,7 @@ void ModelBank::save(const std::string& dir) const {
   out << "features " << feature_dim() << '\n';
   out << configs_.size() << '\n';
   for (std::size_t c = 0; c < configs_.size(); ++c) {
-    std::ostringstream payload;
-    trees_[c].save(payload);
-    const std::string bytes = payload.str();
-    out << configs_[c].name() << '\n';
-    out << "tree " << bytes.size() << ' ' << hex64(fnv1a(bytes)) << '\n';
-    out << bytes;
+    write_tree_record(out, configs_[c].name(), trees_[c]);
   }
   if (!out) {
     throw Error(ErrorCategory::kResource,
@@ -281,53 +260,13 @@ ModelBank ModelBank::load(const std::string& dir) {
   }
 
   in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-  // Trees are hundreds of bytes; anything near this cap is corruption.
-  constexpr std::size_t kMaxTreeBytes = std::size_t{1} << 30;
-  for (std::size_t c = 0; c < n; ++c) {
-    std::string name;
-    if (!std::getline(in, name)) {
-      fail(path, "truncated at configuration " + std::to_string(c));
-    }
-    std::string tag;
-    std::size_t len = 0;
-    std::string checksum_hex;
-    in >> tag >> len >> checksum_hex;
-    if (!in || tag != "tree" || len == 0 || len > kMaxTreeBytes) {
-      // The length field frames the payload; without it the stream cannot
-      // be resynchronized, so this is fatal rather than skippable.
-      fail(path, "malformed tree record for '" + name + "'");
-    }
-    in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-    std::string payload(len, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(len));
-    if (static_cast<std::size_t>(in.gcount()) != len) {
-      fail(path, "truncated tree payload for '" + name + "'");
-    }
-
-    std::string why;
-    if (hex64(fnv1a(payload)) != checksum_hex) {
-      why = "checksum mismatch";
-    } else {
-      try {
-        std::istringstream tree_in(payload);
-        DecisionTree tree = DecisionTree::load(tree_in);
+  read_tree_records(
+      in, n, path, "ModelBank::load",
+      [&](const std::string& name, DecisionTree tree) {
         bank.configs_.push_back(parse_method_config(name));
         bank.trees_.push_back(std::move(tree));
-        continue;
-      } catch (const std::exception& e) {
-        why = e.what();
-      }
-    }
-    const std::string warning =
-        "skipping model for '" + name + "': " + why;
-    std::fprintf(stderr, "ModelBank::load: %s\n", warning.c_str());
-    bank.warnings_.push_back(warning);
-  }
-
-  if (bank.trees_.empty()) {
-    fail(path, "no usable trees (" + std::to_string(bank.warnings_.size()) +
-                   " skipped)");
-  }
+      },
+      bank.warnings_);
   bank.flat_ = FlatTreeEnsemble::build(bank.trees_);
   return bank;
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "spmm/model.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -179,6 +180,36 @@ TEST(Fallback, CorruptTreeIsSkippedWithWarning) {
   expect_matches_reference(pm, m);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(Fallback, CommittedBenchmarkBanksLoadCleanAndResaveByteIdentical) {
+  // The pinned banks the end-to-end benchmark ships (e2ebench/bank) read
+  // through the shared tree-record codec with no warning, and save back
+  // byte for byte.
+  const auto src = std::filesystem::path(WISE_TEST_DATA_DIR) / ".." / ".." /
+                   "e2ebench" / "bank";
+  const ModelBank bank = ModelBank::load(src.string());
+  EXPECT_TRUE(bank.warnings().empty());
+  const spmm::SpmmBank spmm_bank = spmm::SpmmBank::load(src.string());
+  EXPECT_TRUE(spmm_bank.warnings().empty());
+
+  const auto out =
+      std::filesystem::temp_directory_path() / "wise_resaved_banks";
+  std::filesystem::remove_all(out);
+  bank.save(out.string());
+  spmm_bank.save(out.string());
+  const auto slurp = [](const std::filesystem::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  for (const char* file : {"models.txt", "spmm_models.txt"}) {
+    const std::string original = slurp(src / file);
+    EXPECT_FALSE(original.empty()) << file;
+    EXPECT_EQ(slurp(out / file), original) << file;
+  }
+  std::filesystem::remove_all(out);
 }
 
 TEST(Fallback, FullyCorruptBankThrowsModelBankError) {

@@ -1,8 +1,8 @@
 // Tests for the online learning loop (learn/online.hpp) and its serving
 // integration (serve/server.hpp): drift-triggered retrain + validated
 // hot-swap, the rollback guardrail, fault-stage degradation, WAL recovery
-// into the learner, and bit-stable predictions across concurrent bank
-// swaps.
+// into the learner, the server's sampling of RUN, SPMM and SOLVE, and
+// bit-stable predictions across concurrent bank swaps.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "features/extractor.hpp"
+#include "gen/generators.hpp"
 #include "learn/online.hpp"
 #include "serve/server.hpp"
+#include "spmm/model.hpp"
 #include "spmv/method.hpp"
 #include "test_util.hpp"
 #include "util/fault.hpp"
@@ -291,7 +293,6 @@ TEST(OnlineLearner, ForeignWorkloadClassesAreLoggedButNeverDriveDrift) {
   // therefore its retrain triggers, scoped to its own class — mispredicted
   // SpMM traffic must not retrain the SpMV bank.
   LearnOptions opts = fast_opts("foreign.wal");
-  ASSERT_EQ(opts.workload_class, WorkloadClass::kSpmv);
   const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
   auto live = std::make_shared<const Wise>(make_bank(winner, 0.5, 1.0));
 
@@ -325,32 +326,6 @@ TEST(OnlineLearner, ForeignWorkloadClassesAreLoggedButNeverDriveDrift) {
     learner.observe(synthetic_sample(winner, 1, 6, 1, 100 + i));
   }
   ASSERT_TRUE(wait_until([&] { return learner.stats().drift_events >= 1; }));
-  learner.stop();
-  fs::remove(opts.log_path);
-}
-
-TEST(OnlineLearner, WorkloadClassOptionFiltersRecoveredCorpus) {
-  // A learner bound to the spmm class retrains only on spmm samples even
-  // when the WAL holds a mixed corpus.
-  LearnOptions opts = fast_opts("classed.wal");
-  opts.workload_class = WorkloadClass::kSpmm;
-  const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
-  auto live = std::make_shared<const Wise>(make_bank(winner, 0.5, 1.0));
-
-  OnlineLearner learner(opts);
-  learner.bind([](std::shared_ptr<const Wise>) { return std::uint64_t{2}; },
-               live, 1);
-  learner.start();
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    Sample s = synthetic_sample(winner, 1, 6, 1, i);
-    s.workload_class = static_cast<std::uint8_t>(
-        i % 2 == 0 ? WorkloadClass::kSpmm : WorkloadClass::kSpmv);
-    learner.observe(s);
-  }
-  const LearnStats ls = learner.stats();
-  EXPECT_EQ(ls.samples_logged, 8u);
-  EXPECT_EQ(ls.samples_foreign_class, 4u);
-  EXPECT_EQ(ls.window_samples, 4u);
   learner.stop();
   fs::remove(opts.log_path);
 }
@@ -419,6 +394,82 @@ TEST(ServerLearn, OnlineLoopLowersServedMispredictRate) {
       << "the swap must measurably reduce served mispredictions";
   EXPECT_GT(ls.samples_logged, 0u);
   EXPECT_GT(ls.wal_bytes, 0u);
+  fs::remove(opts.log_path);
+}
+
+TEST(ServerLearn, RunSpmmAndSolveEachLogOneClassedSample) {
+  // Every sampled request kind goes through the server's one sampling
+  // path: it times its own workload's baseline and lands in the WAL tagged
+  // with its class. Only the SpMV sample is the learner's own class; the
+  // SpMM and session samples are logged as foreign.
+  const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
+  serve::Server server(
+      std::make_shared<const Wise>(make_bank(winner, 1.0, 1.2)),
+      {.workers = 2});
+  std::vector<CsrMatrix> corpus;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    corpus.push_back(random_csr(64, 64, 5.0, 300 + s));
+  }
+  spmm::SpmmTrainOptions topts;
+  topts.k = 4;
+  topts.iters = 1;
+  server.set_spmm_bank(std::make_shared<const spmm::SpmmBank>(
+      spmm::train_spmm_bank(corpus, topts)));
+  const LearnOptions opts = fast_opts("three_kinds.wal");
+  server.attach_learner(std::make_shared<OnlineLearner>(opts));
+  auto learner = server.learner();
+
+  const serve::Response run =
+      server.call(run_request(shared_matrix(96, 41), "run", 4));
+  serve::Request spmm_req;
+  spmm_req.kind = serve::RequestKind::kSpmm;
+  spmm_req.matrix = shared_matrix(96, 42);
+  spmm_req.id = "spmm";
+  spmm_req.rhs_cols = 4;
+  spmm_req.iters = 2;
+  const serve::Response spmm = server.call(std::move(spmm_req));
+  CooMatrix coo = generate_stencil2d(10, 10, 5);
+  for (auto& e : coo.entries()) {
+    if (e.row == e.col) e.val += 0.1;  // SPD, so CG converges
+  }
+  coo.canonicalize();
+  serve::Request solve_req;
+  solve_req.kind = serve::RequestKind::kSolve;
+  solve_req.matrix = std::make_shared<const CsrMatrix>(CsrMatrix::from_coo(coo));
+  solve_req.id = "solve";
+  solve_req.iters = 50;
+  const serve::Response solve = server.call(std::move(solve_req));
+  const std::vector<const serve::Response*> rsps = {&run, &spmm, &solve};
+  for (const serve::Response* rsp : rsps) ASSERT_TRUE(rsp->ok) << rsp->error;
+  EXPECT_FALSE(solve.prepared_cache_hit) << "the SOLVE under test is cold";
+
+  EXPECT_EQ(server.stats().sampled, 3u);
+  const LearnStats ls = learner->stats();
+  EXPECT_EQ(ls.samples_logged, 3u);
+  EXPECT_EQ(ls.samples_foreign_class, 2u);
+  EXPECT_EQ(ls.window_samples, 1u);
+  learner->stop();
+
+  SampleLog log(opts.log_path);
+  log.open();
+  const std::vector<Sample>& samples = log.samples();
+  ASSERT_EQ(samples.size(), 3u);
+  const WorkloadClass classes[] = {WorkloadClass::kSpmv, WorkloadClass::kSpmm,
+                                   WorkloadClass::kSession};
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const Sample& s = samples[i];
+    EXPECT_EQ(s.workload_class, static_cast<std::uint8_t>(classes[i])) << i;
+    EXPECT_EQ(s.config_name, rsps[i]->config_name) << i;
+    EXPECT_EQ(s.fingerprint, rsps[i]->fingerprint.structure) << i;
+    EXPECT_EQ(s.predicted_class, rsps[i]->choice.predicted_class) << i;
+    EXPECT_EQ(s.bank_version, 1u) << i;
+    EXPECT_GT(s.rel_time, 0.0) << i;
+    EXPECT_EQ(s.features.size(), feature_count()) << i;
+  }
+  EXPECT_NO_THROW(parse_method_config(samples[0].config_name));
+  EXPECT_EQ(samples[1].config_name.rfind("SpMM/", 0), 0u)
+      << samples[1].config_name;
+  EXPECT_NO_THROW(parse_method_config(samples[2].config_name));
   fs::remove(opts.log_path);
 }
 

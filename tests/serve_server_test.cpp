@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -615,6 +616,31 @@ Request solve_request(std::shared_ptr<const CsrMatrix> m, std::string id,
   return req;
 }
 
+/// Dual-model selector trained to prefer plain CSR — zero prep cost, best
+/// speed class — for any N.
+std::shared_ptr<const AmortizedWise> csr_preferring_amortized() {
+  const auto configs = all_method_configs();
+  const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
+  std::vector<std::vector<double>> features;
+  std::vector<std::vector<double>> rel_times;
+  std::vector<std::vector<double>> prep_iters;
+  Xoshiro256 rng(123);
+  for (int i = 0; i < 12; ++i) {
+    std::vector<double> f(feature_count());
+    for (auto& v : f) v = rng.next_double() * 100.0;
+    features.push_back(std::move(f));
+    std::vector<double> rel(configs.size(), 1.0);
+    rel[winner] = 0.5;
+    rel_times.push_back(std::move(rel));
+    std::vector<double> prep(configs.size(), 10.0);
+    prep[winner] = 0.0;
+    prep_iters.push_back(std::move(prep));
+  }
+  auto amortized = std::make_shared<AmortizedWise>();
+  amortized->train(configs, features, rel_times, prep_iters, {.max_depth = 3});
+  return amortized;
+}
+
 TEST(SolveSession, ColdThenWarmAmortizesThePrepareAcrossFourShards) {
   // The ISSUE's session contract: a SOLVE session through a sharded server
   // prepares the layout exactly once; the warm session reuses it (that
@@ -675,34 +701,30 @@ TEST(SolveSession, SolverVariantsRunAndBogusInputsFailCleanly) {
   EXPECT_EQ(st.sessions_active, 0u) << "failed sessions must not leak";
 }
 
+TEST(SolveSession, UnknownSolverIsRejectedBeforeAnyWork) {
+  // The solver name is request validation: a cold SOLVE naming an unknown
+  // solver must fail before features, choose or conversion run, and leave
+  // nothing cached.
+  Server server(make_predictor(MethodKind::kSellpack), {.workers = 2});
+  const Response rsp =
+      server.call(solve_request(shared_spd(8, 8), "sor", 10, "sor"));
+  EXPECT_FALSE(rsp.ok);
+  EXPECT_EQ(rsp.category, ErrorCategory::kValidation);
+  EXPECT_NE(rsp.error.find("unknown solver"), std::string::npos) << rsp.error;
+  EXPECT_EQ(server.stats().prepares, 0u);
+  EXPECT_EQ(server.stats().sessions_active, 0u);
+  const CacheStats cs = server.cache_stats();
+  EXPECT_EQ(cs.prepared_entries, 0u);
+  EXPECT_EQ(cs.choice_entries, 0u);
+}
+
 TEST(SolveSession, AmortizedSelectorDrivesTheColdChoice) {
   // With a dual-model selector installed, a cold SOLVE session picks its
   // configuration through AmortizedWise::choose(features, N) instead of the
-  // SpMV bank (whose constant-bank winner is kSellpack). Train the
-  // amortized model to prefer plain CSR — zero prep cost, best speed class
-  // — and the session must serve CSR.
-  const auto configs = all_method_configs();
-  const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
-  std::vector<std::vector<double>> features;
-  std::vector<std::vector<double>> rel_times;
-  std::vector<std::vector<double>> prep_iters;
-  Xoshiro256 rng(123);
-  for (int i = 0; i < 12; ++i) {
-    std::vector<double> f(feature_count());
-    for (auto& v : f) v = rng.next_double() * 100.0;
-    features.push_back(std::move(f));
-    std::vector<double> rel(configs.size(), 1.0);
-    rel[winner] = 0.5;
-    rel_times.push_back(std::move(rel));
-    std::vector<double> prep(configs.size(), 10.0);
-    prep[winner] = 0.0;
-    prep_iters.push_back(std::move(prep));
-  }
-  auto amortized = std::make_shared<AmortizedWise>();
-  amortized->train(configs, features, rel_times, prep_iters, {.max_depth = 3});
-
+  // SpMV bank (whose constant-bank winner is kSellpack). With the
+  // amortized model preferring plain CSR, the session must serve CSR.
   Server server(make_predictor(MethodKind::kSellpack), {.workers = 2});
-  server.set_amortized(amortized);
+  server.set_amortized(csr_preferring_amortized());
   const auto m = shared_spd(12, 12);
 
   const Response rsp = server.call(solve_request(m, "amortized", 64));
@@ -730,6 +752,19 @@ Request spmm_request(std::shared_ptr<const CsrMatrix> m, std::string id,
   return req;
 }
 
+/// A real (tiny) SpMM bank trained on four small random matrices.
+std::shared_ptr<const spmm::SpmmBank> tiny_spmm_bank() {
+  std::vector<CsrMatrix> corpus;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    corpus.push_back(random_csr(64, 64, 5.0, 210 + s));
+  }
+  spmm::SpmmTrainOptions topts;
+  topts.k = 4;
+  topts.iters = 1;
+  return std::make_shared<const spmm::SpmmBank>(
+      spmm::train_spmm_bank(corpus, topts));
+}
+
 TEST(Spmm, WithoutABankServesTheBaselineAndSaysSo) {
   Server server(make_predictor(MethodKind::kSellpack), {.workers = 2});
   const auto m = shared_matrix(96, 201);
@@ -746,18 +781,8 @@ TEST(Spmm, ServedFromItsOwnBankBitIdenticalToTheReference) {
   // the §7 separation thread through serving. The response checksum must
   // equal the serial reference on the same fingerprint-seeded RHS: the
   // served blocked kernel is bit-identical, whatever config the bank picks.
-  std::vector<CsrMatrix> corpus;
-  for (std::uint64_t s = 1; s <= 4; ++s) {
-    corpus.push_back(random_csr(64, 64, 5.0, 210 + s));
-  }
-  spmm::SpmmTrainOptions topts;
-  topts.k = 4;
-  topts.iters = 1;
-  auto bank = std::make_shared<const spmm::SpmmBank>(
-      spmm::train_spmm_bank(corpus, topts));
-
   Server server(make_predictor(MethodKind::kSellpack), {.workers = 2});
-  server.set_spmm_bank(bank);
+  server.set_spmm_bank(tiny_spmm_bank());
   const auto m = shared_matrix(128, 220);
   constexpr int kCols = 8;
 
@@ -783,6 +808,71 @@ TEST(Spmm, ServedFromItsOwnBankBitIdenticalToTheReference) {
   EXPECT_EQ(again.checksum, rsp.checksum);
   EXPECT_EQ(again.config_name, rsp.config_name);
   EXPECT_EQ(server.stats().spmm_requests, 2u);
+}
+
+// ---------------------------------------------------- the bank slot ----
+
+TEST(BankSlot, InstallsRaceTrafficWithoutVersioningAndPublishInvalidates) {
+  // All three models share one epoch-protected slot. Installing (and
+  // uninstalling) the SpMM bank or the amortized selector while clients
+  // send SPMM, SOLVE and RUN must fail no request and leave the SpMV bank's
+  // version alone; only publish_bank bumps it and clears both cache tiers.
+  Server server(make_predictor(MethodKind::kSellpack),
+                {.workers = 4, .queue_capacity = 0});
+  const auto spmm_bank = tiny_spmm_bank();
+  const auto amortized = csr_preferring_amortized();
+  const auto square = shared_spd(10, 10);
+  const auto run_m = shared_matrix(96, 31);
+
+  std::atomic<bool> stop{false};
+  std::thread installer([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      server.set_spmm_bank(i % 2 == 0 ? spmm_bank : nullptr);
+      server.set_amortized(i % 3 == 0 ? amortized : nullptr);
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < 12; ++r) {
+        const std::string tag = std::to_string(c) + "/" + std::to_string(r);
+        for (const Response& rsp :
+             {server.call(spmm_request(run_m, "spmm" + tag, 4)),
+              server.call(solve_request(square, "solve" + tag, 50)),
+              server.call(run_request(run_m, "run" + tag))}) {
+          EXPECT_TRUE(rsp.ok) << rsp.id << ": " << rsp.error;
+          EXPECT_EQ(rsp.bank_version, 1u) << rsp.id;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  stop.store(true);
+  installer.join();
+
+  EXPECT_EQ(server.stats().failed, 0u);
+  EXPECT_EQ(server.bank_version(), 1u)
+      << "installing an SpMM bank or amortized selector is unversioned";
+  const CacheStats warm = server.cache_stats();
+  EXPECT_GT(warm.prepared_entries, 0u)
+      << "installs must not clear the cache tiers";
+
+  EXPECT_EQ(server.publish_bank(make_predictor(MethodKind::kCsr)), 2u);
+  EXPECT_EQ(server.bank_version(), 2u);
+  const CacheStats cleared = server.cache_stats();
+  EXPECT_EQ(cleared.prepared_entries, 0u);
+  EXPECT_EQ(cleared.choice_entries, 0u);
+  EXPECT_THROW(server.publish_bank(nullptr), std::invalid_argument);
+  EXPECT_EQ(server.bank_version(), 2u);
+
+  // Uninstalling leaves the SPMM path on its documented fallback.
+  server.set_spmm_bank(nullptr);
+  EXPECT_EQ(server.spmm_bank(), nullptr);
+  const Response fallback = server.call(spmm_request(run_m, "nobank", 4));
+  ASSERT_TRUE(fallback.ok) << fallback.error;
+  EXPECT_NE(fallback.choice.fallback_reason.find("no bank"),
+            std::string::npos);
+  EXPECT_EQ(fallback.bank_version, 2u);
 }
 
 // ------------------------------------------- Wise const-thread-safety ----

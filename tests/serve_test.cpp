@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/cache.hpp"
@@ -14,6 +15,7 @@
 #include "spmv/bsr.hpp"
 #include "spmv/method.hpp"
 #include "test_util.hpp"
+#include "util/hash.hpp"
 #include "util/lru.hpp"
 
 namespace wise::serve {
@@ -34,6 +36,9 @@ TEST(Fingerprint, Fnv1aMatchesReferenceVectors) {
   EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
   EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
+  EXPECT_EQ(fnv1a(std::string_view("foobar")), 0x85944171f73967e8ull);
+  // Chaining: hashing in two pieces equals hashing the whole.
+  EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), 0x85944171f73967e8ull);
 }
 
 TEST(Fingerprint, GoldenValueIsPinned) {

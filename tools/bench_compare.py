@@ -32,7 +32,9 @@ Two kinds of gates turn the diff into a CI check that actually fails:
                            gates. Append @hw>=N to skip the gate (loudly)
                            when the stage saw fewer than N cores — the
                            benchmark's recorded hw_concurrency param when
-                           present, else the report's OpenMP width:
+                           present, else the hardware threads of the
+                           report's hw/probe stage, else (no probe) the
+                           report's OpenMP width:
                            "...speedup_vs_1shard>=1.5@hw>=4" only means
                            something with 4 cores to shard across.
 
@@ -197,7 +199,7 @@ def main():
         default=None,
         metavar="GROUP/NAME:PARAM>=MIN[@hw>=N]",
         help="exit 1 unless the current report's benchmark param meets the "
-        "bound; @hw>=N skips the gate below N OpenMP threads; repeatable",
+        "bound; @hw>=N skips the gate below N hardware threads; repeatable",
     )
     ap.add_argument(
         "--min-hw",
@@ -236,6 +238,11 @@ def main():
         sys.exit(f"bench_compare: unreadable current report ({e})")
     cur_ix = index_benchmarks(cur)
     cur_hw = int(cur.get("omp_max_threads") or 0)
+    # Hardware threads the run had: the hw/probe stage's count, or the
+    # OpenMP width when the report predates the probe. OMP_NUM_THREADS can
+    # exceed the cores (an oversubscribed 1-core runner), so the probe wins.
+    probe = cur_ix.get(("hw", "probe"), {}).get("params", {})
+    cur_cores = int(probe.get("threads") or cur_hw)
     print(f"current:  {cur_path} (sha {cur.get('git_sha', '?')}, "
           f"omp {cur_hw})")
 
@@ -319,9 +326,9 @@ def main():
             continue
         # @hw>=N compares against the cores the stage itself saw: the
         # benchmark's hw_concurrency param when recorded (shard sweep,
-        # hotswap — stages that need real parallel hardware, not a wide
-        # OMP_NUM_THREADS), else the report's OpenMP width.
-        hw_avail = bench.get("params", {}).get("hw_concurrency", cur_hw)
+        # hotswap), else the run's hardware threads — never a wide
+        # OMP_NUM_THREADS on fewer cores.
+        hw_avail = bench.get("params", {}).get("hw_concurrency", cur_cores)
         if g["hw"] and hw_avail < g["hw"]:
             summary.add(
                 "⏭️",
