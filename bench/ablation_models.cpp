@@ -1,13 +1,12 @@
 // Ablation (DESIGN.md §8): decision tree (the paper's model) vs a
-// random-forest ensemble vs a majority-class baseline, on the five
-// representative per-config models. Quantifies how much the paper's
-// single-tree choice leaves on the table.
+// majority-class baseline, on the five representative per-config models.
+// Ensembles are not measured: forests landed within ±3% of single trees
+// (EXPERIMENTS.md).
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ml/forest.hpp"
 #include "features/extractor.hpp"
 #include "ml/validation.hpp"
 #include "wise/speedup_class.hpp"
@@ -16,7 +15,7 @@ using namespace wise;
 using namespace wise::bench;
 
 int main() {
-  std::printf("== Ablation: tree vs forest vs majority-class ==\n");
+  std::printf("== Ablation: tree vs majority-class ==\n");
   const auto records = load_records(full_corpus());
   const auto configs = all_method_configs();
 
@@ -24,7 +23,7 @@ int main() {
       "SELLPACK/c8/StCont", "Sell-c-s/c8/s4096/StCont", "Sell-c-R/c8",
       "LAV-1Seg/c8", "LAV/c8/T0.8"};
 
-  std::printf("%-26s %10s %10s %10s\n", "model", "tree", "forest", "majority");
+  std::printf("%-26s %10s %10s\n", "model", "tree", "majority");
   for (const auto& name : representative) {
     std::size_t target = configs.size();
     for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -36,7 +35,7 @@ int main() {
     }
 
     const auto folds = stratified_kfold(labels, 10, 0xAB);
-    int tree_hits = 0, forest_hits = 0, majority_hits = 0, total = 0;
+    int tree_hits = 0, majority_hits = 0, total = 0;
     for (const auto& test_fold : folds) {
       std::vector<bool> in_test(records.size(), false);
       for (std::size_t idx : test_fold) in_test[idx] = true;
@@ -54,23 +53,16 @@ int main() {
 
       DecisionTree tree;
       tree.fit(train, {.max_depth = 15, .ccp_alpha = 0.005});
-      RandomForest forest;
-      forest.fit(train, {.num_trees = 15,
-                         .tree = {.max_depth = 15, .ccp_alpha = 0.005},
-                         .row_subsample = 0.8});
 
       for (std::size_t idx : test_fold) {
         tree_hits += tree.predict(records[idx].features) == labels[idx];
-        forest_hits += forest.predict(records[idx].features) == labels[idx];
         majority_hits += majority == labels[idx];
         ++total;
       }
     }
-    std::printf("%-26s %9.1f%% %9.1f%% %9.1f%%\n", name.c_str(),
-                100.0 * tree_hits / total, 100.0 * forest_hits / total,
-                100.0 * majority_hits / total);
+    std::printf("%-26s %9.1f%% %9.1f%%\n", name.c_str(),
+                100.0 * tree_hits / total, 100.0 * majority_hits / total);
   }
-  std::printf("\n(The tree must clear the majority baseline decisively; the\n");
-  std::printf(" forest shows whether ensembling would add accuracy.)\n");
+  std::printf("\n(The tree must clear the majority baseline decisively.)\n");
   return 0;
 }

@@ -1,6 +1,6 @@
 #pragma once
-// The checksummed tree record both model banks persist their trees as
-// (wise/model_bank.hpp v2+, spmm/model.hpp v1):
+// The checksummed tree record every TreeBank file persists its trees as
+// (wise/tree_bank.hpp: models.txt v2+, spmm_models.txt v1):
 //
 //   <config name>
 //   tree <payload bytes> <fnv1a checksum, hex>

@@ -624,7 +624,7 @@ Response Server::process_spmm(Shard& home, const Request& req, Response rsp) {
   if (bank != nullptr && bank->trained()) {
     rsp.choice.features = std::make_shared<const std::vector<double>>(
         extract_features(m).values);
-    choice = bank->choose(*rsp.choice.features);
+    choice = spmm::choose(*bank, *rsp.choice.features);
     rsp.choice.predicted_class = choice.predicted_class;
   } else {
     choice.config = spmm::spmm_method_configs()[0];

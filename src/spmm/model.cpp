@@ -2,25 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
 #include "features/extractor.hpp"
-#include "ml/tree_record.hpp"
-#include "util/error.hpp"
-#include "util/fault.hpp"
-#include "wise/speedup_class.hpp"
+#include "wise/selector.hpp"
 
 namespace wise::spmm {
 
 namespace {
-
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw Error(ErrorCategory::kModelBank, "SpmmBank::load: " + what,
-              {.file = path, .stage = stage::kModelBank});
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -30,117 +20,10 @@ double now_seconds() {
 
 }  // namespace
 
-void SpmmBank::train(const std::vector<SpmmConfig>& configs,
-                     const std::vector<std::vector<double>>& features,
-                     const std::vector<std::vector<double>>& rel_times,
-                     const TreeParams& params) {
-  if (configs.empty()) {
-    throw std::invalid_argument("SpmmBank::train: no configurations");
-  }
-  if (features.size() != rel_times.size() || features.empty()) {
-    throw std::invalid_argument("SpmmBank::train: shape mismatch");
-  }
-  for (const auto& row : rel_times) {
-    if (row.size() != configs.size()) {
-      throw std::invalid_argument(
-          "SpmmBank::train: rel_times width != #configs");
-    }
-  }
-
-  configs_ = configs;
-  warnings_.clear();
-  trees_.clear();
-  trees_.resize(configs.size());
-
-  const auto& names = feature_names();
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    Dataset ds(names, kNumSpeedupClasses);
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      ds.add(features[i], classify_relative_time(rel_times[i][c]));
-    }
-    trees_[c].fit(ds, params);
-  }
-}
-
-SpmmChoice SpmmBank::choose(std::span<const double> features) const {
-  if (!trained()) {
-    throw std::logic_error("SpmmBank::choose: not trained");
-  }
-  SpmmChoice best;
-  int best_class = -1;
-  std::vector<double> best_rank;
-  for (std::size_t c = 0; c < configs_.size(); ++c) {
-    const int cls = trees_[c].predict(features);
-    auto rank = configs_[c].selection_rank();
-    const bool better =
-        cls > best_class ||
-        (cls == best_class && (best_rank.empty() || rank < best_rank));
-    if (better) {
-      best_class = cls;
-      best_rank = std::move(rank);
-      best = {configs_[c], cls};
-    }
-  }
-  return best;
-}
-
-int SpmmBank::predict_class(std::size_t config_index,
-                            std::span<const double> features) const {
-  if (config_index >= trees_.size()) {
-    throw std::out_of_range("SpmmBank::predict_class: bad config index");
-  }
-  return trees_[config_index].predict(features);
-}
-
-void SpmmBank::save(const std::string& dir) const {
-  if (!trained()) throw std::logic_error("SpmmBank::save: not trained");
-  std::filesystem::create_directories(dir);
-  const auto path =
-      (std::filesystem::path(dir) / "spmm_models.txt").string();
-  std::ofstream out(path);
-  if (!out) {
-    throw Error(ErrorCategory::kResource,
-                "SpmmBank::save: cannot write to " + dir, {.file = path});
-  }
-  out << "wise-spmm-bank v1\n" << configs_.size() << '\n';
-  for (std::size_t c = 0; c < configs_.size(); ++c) {
-    write_tree_record(out, configs_[c].name(), trees_[c]);
-  }
-  if (!out) {
-    throw Error(ErrorCategory::kResource,
-                "SpmmBank::save: write failed for " + path, {.file = path});
-  }
-}
-
-SpmmBank SpmmBank::load(const std::string& dir) {
-  const auto path =
-      (std::filesystem::path(dir) / "spmm_models.txt").string();
-  std::ifstream in(path);
-  if (!in) fail(path, "cannot open spmm models in " + dir);
-
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "wise-spmm-bank" || version != "v1") {
-    fail(path, "bad header");
-  }
-  std::size_t n = 0;
-  in >> n;
-  if (!in || n == 0 || n > 100000) {
-    fail(path, "implausible configuration count");
-  }
-  in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-
-  SpmmBank bank;
-  bank.configs_.reserve(n);
-  bank.trees_.reserve(n);
-  read_tree_records(
-      in, n, path, "SpmmBank::load",
-      [&](const std::string& name, DecisionTree tree) {
-        bank.configs_.push_back(parse_spmm_config(name));
-        bank.trees_.push_back(std::move(tree));
-      },
-      bank.warnings_);
-  return bank;
+SpmmChoice choose(const SpmmBank& bank, std::span<const double> features) {
+  const std::vector<int> classes = bank.predict_classes(features);
+  const std::size_t best = select_best_config(bank.configs(), classes);
+  return {bank.configs()[best], classes[best]};
 }
 
 std::vector<double> measure_spmm_seconds(const CsrMatrix& m, index_t k,

@@ -1,6 +1,7 @@
 #pragma once
 // The SpMM model bank: per-configuration speedup-class trees, trained and
-// persisted independently of the SpMV ModelBank.
+// persisted independently of the SpMV ModelBank — a
+// TreeBank<SpmmConfig> (wise/tree_bank.hpp).
 //
 // This is the paper's §7 add-a-method claim exercised end-to-end with a
 // different operation class: SpMM configurations get their own decision
@@ -9,74 +10,57 @@
 // SpMM prediction to a deployment never touches, retrains, or re-validates
 // the SpMV bank's models.txt. Classes are the same C0..C6 relative-time
 // buckets (wise/speedup_class.hpp), normalized against the kb=1/Dyn
-// repeated-SpMV baseline instead of best-CSR.
+// repeated-SpMV baseline instead of best-CSR. New SpMM configurations join
+// a trained bank through SpmmBank::extended, as SpMV ones do.
 //
 // Persistence format (<dir>/spmm_models.txt), version 1 — the ModelBank v2
-// framing with an SpMM header:
+// framing with an SpMM header and no feature-dim record:
 //
 //   wise-spmm-bank v1
 //   <#configs>
-//   <config name>
-//   tree <payload bytes> <fnv1a checksum, hex>
-//   <payload>
-//   ...
-//
-// Corrupt individual trees are skipped with a warning (degrade, don't
-// die); a bank in which no tree survives throws wise::Error (kModelBank).
+//   <checksummed tree records, ml/tree_record.hpp>
 
 #include <span>
 #include <string>
 #include <vector>
 
-#include "ml/decision_tree.hpp"
 #include "spmm/spmm.hpp"
+#include "wise/tree_bank.hpp"
+
+namespace wise {
+
+template <>
+struct BankTraits<spmm::SpmmConfig> {
+  static constexpr BankFile kFile{.who = "SpmmBank",
+                                  .name = "spmm_models.txt",
+                                  .magic = "wise-spmm-bank",
+                                  .version = 1,
+                                  .oldest_version = 1,
+                                  .checksums_since = 1,
+                                  .features_since = 0};
+  static spmm::SpmmConfig parse(const std::string& name) {
+    return spmm::parse_spmm_config(name);
+  }
+};
+
+}  // namespace wise
 
 namespace wise::spmm {
+
+/// Its train() targets are t_config / t_baseline, with the baseline
+/// configs()[0], kb=1/Dyn.
+using SpmmBank = TreeBank<SpmmConfig>;
 
 struct SpmmChoice {
   SpmmConfig config;
   int predicted_class = 0;  ///< C0..C6 vs the kb=1/Dyn baseline
 };
 
-class SpmmBank {
- public:
-  /// Trains one tree per configuration.
-  ///   features[i]     — 67-feature vector of training matrix i
-  ///   rel_times[i][c] — t_config / t_baseline of matrix i, configuration
-  ///                     configs[c] (baseline = configs()[0], kb=1/Dyn)
-  /// Throws std::invalid_argument on shape mismatches.
-  void train(const std::vector<SpmmConfig>& configs,
-             const std::vector<std::vector<double>>& features,
-             const std::vector<std::vector<double>>& rel_times,
-             const TreeParams& params = {});
-
-  /// Picks the configuration with the best predicted speedup class; ties
-  /// break toward SpmmConfig::selection_rank() (smaller register block).
-  SpmmChoice choose(std::span<const double> features) const;
-
-  /// Predicted class of one configuration (validation / spot checks).
-  int predict_class(std::size_t config_index,
-                    std::span<const double> features) const;
-
-  const std::vector<SpmmConfig>& configs() const { return configs_; }
-  bool trained() const { return !trees_.empty(); }
-
-  /// Persists as <dir>/spmm_models.txt. The SpMV bank's models.txt in the
-  /// same directory is never touched.
-  void save(const std::string& dir) const;
-
-  /// Loads a bank saved by save(). Corrupt trees are skipped with a
-  /// warning; throws wise::Error (kModelBank) when the file is missing,
-  /// the header is unreadable, or no tree survives.
-  static SpmmBank load(const std::string& dir);
-
-  const std::vector<std::string>& warnings() const { return warnings_; }
-
- private:
-  std::vector<SpmmConfig> configs_;
-  std::vector<DecisionTree> trees_;
-  std::vector<std::string> warnings_;
-};
+/// Picks the configuration with the best predicted speedup class; ties
+/// break toward SpmmConfig::selection_rank() (smaller register block).
+/// Throws std::logic_error on an untrained bank and std::invalid_argument
+/// on a feature vector of the wrong width.
+SpmmChoice choose(const SpmmBank& bank, std::span<const double> features);
 
 /// Per-configuration SpMM seconds (per iteration, min over `repeats`
 /// passes) on one matrix with a k-column RHS, in spmm_method_configs()

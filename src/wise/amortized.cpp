@@ -3,7 +3,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "features/extractor.hpp"
 #include "wise/speedup_class.hpp"
 
 namespace wise {
@@ -36,30 +35,11 @@ void AmortizedWise::train(const std::vector<MethodConfig>& configs,
                           const std::vector<std::vector<double>>& rel_times,
                           const std::vector<std::vector<double>>& prep_iters,
                           const TreeParams& params) {
-  if (configs.empty() || features.empty() ||
-      features.size() != rel_times.size() ||
-      features.size() != prep_iters.size()) {
-    throw std::invalid_argument("AmortizedWise::train: shape mismatch");
-  }
-  configs_ = configs;
-  speed_trees_.assign(configs.size(), {});
-  prep_trees_.assign(configs.size(), {});
-
-  const auto& names = feature_names();
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    Dataset speed_ds(names, kNumSpeedupClasses);
-    Dataset prep_ds(names, kNumPrepClasses);
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (rel_times[i].size() != configs.size() ||
-          prep_iters[i].size() != configs.size()) {
-        throw std::invalid_argument("AmortizedWise::train: row width");
-      }
-      speed_ds.add(features[i], classify_relative_time(rel_times[i][c]));
-      prep_ds.add(features[i], classify_prep_cost(prep_iters[i][c]));
-    }
-    speed_trees_[c].fit(speed_ds, params);
-    prep_trees_[c].fit(prep_ds, params);
-  }
+  TreeBank<MethodConfig> speed, prep;
+  speed.train(configs, features, rel_times, params, kSpeedupHead);
+  prep.train(configs, features, prep_iters, params, kPrepHead);
+  speed_ = std::move(speed);
+  prep_ = std::move(prep);
 }
 
 AmortizedChoice AmortizedWise::choose(std::span<const double> features,
@@ -71,24 +51,24 @@ AmortizedChoice AmortizedWise::choose(std::span<const double> features,
     throw std::invalid_argument(
         "AmortizedWise::choose: iterations must be > 0");
   }
+  const std::vector<int> speed = speed_.predict_classes(features);
+  const std::vector<int> prep = prep_.predict_classes(features);
+  const auto& configs = speed_.configs();
 
   AmortizedChoice best;
   double best_cost = std::numeric_limits<double>::infinity();
   std::vector<double> best_rank;
-  for (std::size_t c = 0; c < configs_.size(); ++c) {
-    const int speed_cls = speed_trees_[c].predict(features);
-    const int prep_cls = prep_trees_[c].predict(features);
-    const double cost =
-        expected_iterations * class_midpoint_rel(speed_cls) +
-        prep_class_midpoint(prep_cls);
-    auto rank = configs_[c].selection_rank();
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const double cost = expected_iterations * class_midpoint_rel(speed[c]) +
+                        prep_class_midpoint(prep[c]);
+    auto rank = configs[c].selection_rank();
     const bool better =
         cost < best_cost - 1e-12 ||
         (cost < best_cost + 1e-12 && (best_rank.empty() || rank < best_rank));
     if (better) {
       best_cost = cost;
       best_rank = std::move(rank);
-      best = {configs_[c], speed_cls, prep_cls, cost};
+      best = {configs[c], speed[c], prep[c], cost};
     }
   }
   return best;

@@ -14,12 +14,16 @@
 //
 // measured in units of best-CSR iterations. As N → ∞ this converges to the
 // paper's heuristic; at small N it prefers cheap formats.
+//
+// Both tree families are TreeBank<MethodConfig>s (wise/tree_bank.hpp), one
+// per class head — kSpeedupHead and kPrepHead — so training and flat
+// inference are the SpMV bank's; this class keeps only the cost formula.
+// It is never persisted.
 
 #include <span>
 #include <vector>
 
-#include "ml/decision_tree.hpp"
-#include "spmv/method.hpp"
+#include "wise/model_bank.hpp"
 
 namespace wise {
 
@@ -32,6 +36,9 @@ int classify_prep_cost(double prep_csr_iters);
 
 /// Representative cost of a class (geometric-ish midpoints; P5 uses 80).
 double prep_class_midpoint(int cls);
+
+/// P0..P5 of preparation cost in best-CSR iterations.
+inline constexpr ClassHead kPrepHead{kNumPrepClasses, classify_prep_cost};
 
 struct AmortizedChoice {
   MethodConfig config;
@@ -54,17 +61,17 @@ class AmortizedWise {
 
   /// Picks the configuration minimizing expected total cost over
   /// `expected_iterations` SpMV runs. Ties (within 1e-12) break toward the
-  /// paper's preprocessing-cost order.
+  /// paper's preprocessing-cost order. Throws std::invalid_argument on a
+  /// feature vector of the wrong width.
   AmortizedChoice choose(std::span<const double> features,
                          double expected_iterations) const;
 
-  bool trained() const { return !speed_trees_.empty(); }
-  const std::vector<MethodConfig>& configs() const { return configs_; }
+  bool trained() const { return speed_.trained(); }
+  const std::vector<MethodConfig>& configs() const { return speed_.configs(); }
 
  private:
-  std::vector<MethodConfig> configs_;
-  std::vector<DecisionTree> speed_trees_;
-  std::vector<DecisionTree> prep_trees_;
+  TreeBank<MethodConfig> speed_;  ///< kSpeedupHead
+  TreeBank<MethodConfig> prep_;   ///< kPrepHead
 };
 
 }  // namespace wise

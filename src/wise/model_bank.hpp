@@ -1,135 +1,46 @@
 #pragma once
-// The bank of per-configuration performance models (paper Fig 8, step 2).
-//
-// WISE trains one decision tree per {method, parameter} configuration; each
-// tree maps a matrix's feature vector to the configuration's speedup class.
-// The bank owns the trees, keyed by MethodConfig::name(), and can be saved
-// to / loaded from a directory so a trained WISE ships with the library.
+// The SpMV bank of per-configuration performance models (paper Fig 8,
+// step 2): one speedup-class tree per {method, parameter} configuration,
+// keyed by MethodConfig::name() — a TreeBank<MethodConfig>
+// (wise/tree_bank.hpp), saved to and loaded from a directory so a trained
+// WISE ships with the library.
 //
 // Persistence format (<dir>/models.txt), version 3:
 //
 //   wise-model-bank v3
 //   features <feature dim>
 //   <#configs>
-//   <config name>
-//   tree <payload bytes> <fnv1a checksum, hex>
-//   <payload: serialized DecisionTree, exactly that many bytes>
-//   ... repeated per configuration ...
+//   <checksummed tree records, ml/tree_record.hpp>
 //
-// The per-tree length + checksum let load() detect corruption of any one
-// tree and *skip* it — the remaining configurations stay usable and a
-// warning is recorded (degrade, don't die). The feature-dim record is what
-// makes hardware-conditioned banks possible: a bank trained on 67 + 5
-// machine-feature columns (src/hw/probe.hpp) declares 72 here, and
-// Wise::choose() appends hw::machine_features() to every extracted vector
-// before inference. Version 2 files (no feature-dim record) load with a
-// counted warning and are pinned to the 67 matrix features; version 1
-// files (no checksums either) still load, strictly. A bank in which no
-// tree survives throws wise::Error (kModelBank).
+// The feature-dim record is what makes hardware-conditioned banks
+// possible: a bank trained on 67 + 5 machine-feature columns
+// (src/hw/probe.hpp) declares 72 here, and Wise::choose() appends
+// hw::machine_features() to every extracted vector before inference.
+// Version 2 files (no feature-dim record) load with a counted warning and
+// are pinned to the 67 matrix features; version 1 files (no checksums
+// either) still load, strictly.
 
-#include <span>
 #include <string>
-#include <vector>
 
-#include "ml/decision_tree.hpp"
-#include "ml/flat_tree.hpp"
 #include "spmv/method.hpp"
+#include "wise/tree_bank.hpp"
 
 namespace wise {
 
-class ModelBank {
- public:
-  /// Trains one tree per configuration.
-  ///   features[i]        — feature vector of training matrix i
-  ///   rel_times[i][c]    — t_config / t_bestCSR of matrix i, configuration
-  ///                        configs[c]
-  /// All feature rows must share one width; that width becomes the bank's
-  /// feature_dim() (67 for plain matrix features, 67 + 5 for
-  /// hardware-conditioned training via train_model_bank_conditioned).
-  /// Throws std::invalid_argument on shape mismatches.
-  void train(const std::vector<MethodConfig>& configs,
-             const std::vector<std::vector<double>>& features,
-             const std::vector<std::vector<double>>& rel_times,
-             const TreeParams& params = {});
-
-  /// Builds a bank from already-fitted trees, one per configuration — the
-  /// online-learning retrainer's path (src/learn/): it refits only the
-  /// trees with enough fresh samples and carries the live bank's trees for
-  /// the rest, then reassembles here (including the flat-tree recompile).
-  /// Throws std::invalid_argument on shape mismatch, emptiness, or an
-  /// unfitted tree.
-  /// `feature_dim` 0 means "the default 67 matrix features".
-  static ModelBank assemble(std::vector<MethodConfig> configs,
-                            std::vector<DecisionTree> trees,
-                            std::size_t feature_dim = 0);
-
-  /// The §7 add-a-method path: a new bank whose configuration list is
-  /// base's plus `new_configs`, and whose trees are base's trees —
-  /// *unchanged, byte-identical on save()* — plus the freshly trained
-  /// `new_trees`. Throws std::invalid_argument on shape mismatch or a
-  /// config name already present in base (existing models must never be
-  /// replaced through this path).
-  static ModelBank extended(const ModelBank& base,
-                            std::vector<MethodConfig> new_configs,
-                            std::vector<DecisionTree> new_trees);
-
-  /// Predicted speedup class of a single configuration (holdout validation
-  /// and spot checks; the serving path uses predict_classes_into).
-  int predict_class(std::size_t config_index,
-                    std::span<const double> features) const;
-
-  /// Predicted speedup class per configuration, in configs() order.
-  /// Served from the flattened ensemble: all trees are evaluated in one
-  /// lockstep SoA sweep (ml/flat_tree.hpp), bit-identical to walking each
-  /// DecisionTree in trees() individually.
-  std::vector<int> predict_classes(std::span<const double> features) const;
-
-  /// predict_classes without the allocation: out.size() must equal
-  /// configs().size(). The serving hot path calls this per request.
-  void predict_classes_into(std::span<const double> features,
-                            std::span<int> out) const;
-
-  const std::vector<MethodConfig>& configs() const { return configs_; }
-  const std::vector<DecisionTree>& trees() const { return trees_; }
-
-  /// Width of the feature vectors this bank was trained on: 67 for plain
-  /// matrix-feature banks (including every v1/v2 file), larger for
-  /// hardware-conditioned banks (the extra columns are
-  /// hw::machine_feature_names()). predict_* throws std::invalid_argument
-  /// on a vector of any other width.
-  std::size_t feature_dim() const;
-
-  /// The flattened inference bank, rebuilt by train() and load().
-  const FlatTreeEnsemble& flat() const { return flat_; }
-
-  bool trained() const { return !trees_.empty(); }
-
-  /// Persists as <dir>/models.txt (versioned header + checksummed trees).
-  void save(const std::string& dir) const;
-
-  /// Loads a bank saved by save(). Corrupt individual trees are skipped
-  /// with a warning (see warnings()); throws wise::Error (kModelBank) when
-  /// the file is missing, the header is unreadable, or no tree survives.
-  static ModelBank load(const std::string& dir);
-
-  /// Human-readable reports of trees skipped by load(); empty when the
-  /// bank loaded cleanly.
-  const std::vector<std::string>& warnings() const { return warnings_; }
-
- private:
-  /// Throws std::invalid_argument unless features.size() == feature_dim().
-  void check_width(std::span<const double> features) const;
-
-  std::vector<MethodConfig> configs_;
-  std::vector<DecisionTree> trees_;
-  FlatTreeEnsemble flat_;
-  std::vector<std::string> warnings_;
-  std::size_t feature_dim_ = 0;  ///< 0 = the default 67 matrix features
+template <>
+struct BankTraits<MethodConfig> {
+  static constexpr BankFile kFile{.who = "ModelBank",
+                                  .name = "models.txt",
+                                  .magic = "wise-model-bank",
+                                  .version = 3,
+                                  .oldest_version = 1,
+                                  .checksums_since = 2,
+                                  .features_since = 3};
+  static MethodConfig parse(const std::string& name) {
+    return parse_method_config(name);
+  }
 };
 
-/// Column labels for a `dim`-wide training Dataset: the 67 matrix feature
-/// names, then hw::machine_feature_names(), then generated "extra<i>"
-/// fillers — truncated or padded to exactly `dim` entries.
-std::vector<std::string> bank_feature_names(std::size_t dim);
+using ModelBank = TreeBank<MethodConfig>;
 
 }  // namespace wise

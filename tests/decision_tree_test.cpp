@@ -1,11 +1,10 @@
-// Tests for the CART decision tree and random-forest extension.
+// Tests for the CART decision tree.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "ml/decision_tree.hpp"
-#include "ml/forest.hpp"
 #include "util/prng.hpp"
 
 namespace wise {
@@ -195,36 +194,6 @@ TEST(DecisionTree, DeterministicFit) {
   a.fit(ds, {.max_depth = 8});
   b.fit(ds, {.max_depth = 8});
   EXPECT_EQ(a.num_nodes(), b.num_nodes());
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_EQ(a.predict(ds.row(i)), b.predict(ds.row(i)));
-  }
-}
-
-TEST(RandomForest, BeatsChanceOnXor) {
-  const Dataset train = xor_dataset(500, 12);
-  const Dataset test = xor_dataset(200, 13);
-  RandomForest forest;
-  forest.fit(train, {.num_trees = 15,
-                     .tree = {.max_depth = 6, .ccp_alpha = 0.0}});
-  EXPECT_GT(forest.accuracy(test), 0.9);
-}
-
-TEST(RandomForest, RejectsInvalidParams) {
-  Dataset ds({"x"}, 2);
-  ds.add({0.0}, 0);
-  RandomForest forest;
-  EXPECT_THROW(forest.fit(ds, {.num_trees = 0}), std::invalid_argument);
-  EXPECT_THROW(forest.fit(ds, {.num_trees = 5, .row_subsample = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(forest.predict(std::vector<double>{0.0}), std::logic_error);
-}
-
-TEST(RandomForest, DeterministicForSeed) {
-  const Dataset ds = xor_dataset(200, 14);
-  RandomForest a, b;
-  const ForestParams p{.num_trees = 5, .tree = {.max_depth = 4}, .seed = 77};
-  a.fit(ds, p);
-  b.fit(ds, p);
   for (std::size_t i = 0; i < ds.size(); ++i) {
     EXPECT_EQ(a.predict(ds.row(i)), b.predict(ds.row(i)));
   }

@@ -499,7 +499,15 @@ TEST(ServerLearn, GuardrailRollsBackAForcedRegression) {
       ASSERT_TRUE(rsp.ok) << rsp.error;
     }
   };
-  for (int r = 0; r < 2; ++r) drive_round();  // accurate pre-swap window
+  // Pre-swap window: served RUNs go through the server's sampling path,
+  // but measured labels of tiny matrices are timing noise — all eight can
+  // land far from C1, which fires drift and swaps in a retrained bank. So
+  // accurate labeled observations come first and dominate the window: its
+  // rate, which drift and the guardrail read, stays at or below 8 / 32.
+  for (std::size_t i = 0; i < 24; ++i) {
+    learner->observe(synthetic_sample(winner, 1, 1, 1, 800 + i));
+  }
+  for (int r = 0; r < 2; ++r) drive_round();
 
   // Validation rejects the regressing candidate (it loses on the WAL)…
   EXPECT_FALSE(learner->publish_candidate(make_bank(winner, 0.5, 1.0), true));
@@ -511,11 +519,14 @@ TEST(ServerLearn, GuardrailRollsBackAForcedRegression) {
   EXPECT_EQ(server.bank_version(), 2u);
   EXPECT_EQ(learner->stats().swaps, 1u);
 
-  ASSERT_TRUE(wait_until([&] {
-    if (learner->stats().rollbacks >= 1) return true;
-    drive_round();
-    return learner->stats().rollbacks >= 1;
-  })) << "live regression must trigger an automatic rollback";
+  // The regressing bank predicts C6 for the winner, which runs at parity
+  // (C1): the guardrail is fed that regression as labeled observations
+  // against the live version, so its verdict is deterministic.
+  for (std::size_t i = 0; i < opts.guard_min_samples; ++i) {
+    learner->observe(synthetic_sample(winner, 2, 6, 1, 900 + i));
+  }
+  ASSERT_TRUE(wait_until([&] { return learner->stats().rollbacks >= 1; }))
+      << "live regression must trigger an automatic rollback";
 
   const LearnStats ls = learner->stats();
   EXPECT_EQ(ls.rollbacks, 1u);

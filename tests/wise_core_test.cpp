@@ -101,7 +101,8 @@ TEST(Selector, TieBreaksBySmallerParametersWithinMethod) {
 }
 
 TEST(Selector, RejectsMismatchedSizes) {
-  EXPECT_THROW(select_best_config({}, {}), std::invalid_argument);
+  EXPECT_THROW(select_best_config(std::vector<MethodConfig>{}, {}),
+               std::invalid_argument);
   EXPECT_THROW(select_best_config(csr_configs(), {1}), std::invalid_argument);
 }
 
