@@ -3,15 +3,15 @@
 // many times. This bench quantifies what happens for *short* runs: for
 // expected iteration counts N ∈ {1, 5, 20, 100, 1000}, compare the total
 // cost (selection's prep + N SpMV iterations, in units of MKL iterations)
-// achieved by (a) the paper's heuristic and (b) the amortization-aware
-// dual-model selector, both cross-validated.
+// achieved by (a) the paper's heuristic and (b) the horizon-aware
+// selection rule (wise/selector.hpp) over the same bank's speed and prep
+// heads, both cross-validated.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "ml/validation.hpp"
 #include "util/ascii_plot.hpp"
-#include "wise/amortized.hpp"
 #include "wise/model_bank.hpp"
 #include "wise/selector.hpp"
 
@@ -61,14 +61,14 @@ int main() {
       prep_iters.push_back(std::move(prep));
     }
 
-    ModelBank paper_bank;
-    paper_bank.train(configs, features, rel_times);
-    AmortizedWise amortized;
-    amortized.train(configs, features, rel_times, prep_iters);
+    ModelBank bank;
+    bank.train(configs, features, rel_times);
+    bank.train_prep(features, prep_iters);
 
     for (std::size_t idx : test_fold) {
       const auto& rec = records[idx];
-      const auto classes = paper_bank.predict_classes(rec.features);
+      const auto classes = bank.predict_classes(rec.features);
+      const auto prep_classes = bank.predict_prep_classes(rec.features);
       const std::size_t paper_sel = select_best_config(configs, classes);
       for (std::size_t ni = 0; ni < iteration_counts.size(); ++ni) {
         const double n = iteration_counts[ni];
@@ -79,12 +79,8 @@ int main() {
         };
         totals[ni].paper += total_cost(paper_sel);
 
-        const AmortizedChoice am = amortized.choose(rec.features, n);
-        std::size_t am_sel = configs.size();
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-          if (configs[c] == am.config) am_sel = c;
-        }
-        totals[ni].amortized += total_cost(am_sel);
+        totals[ni].amortized += total_cost(
+            select_config(configs, classes, {}, prep_classes, n));
       }
     }
   }

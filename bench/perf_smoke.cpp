@@ -56,7 +56,6 @@
 #include "util/aligned.hpp"
 #include "util/prng.hpp"
 #include "util/timer.hpp"
-#include "wise/amortized.hpp"
 #include "wise/pipeline.hpp"
 
 using namespace wise;
@@ -545,10 +544,8 @@ int main(int argc, char** argv) {
   // --- Stage 5: full pipeline choose/prepare ------------------------------
   std::printf("[perf_smoke] pipeline choose (training smoke bank)...\n");
   std::shared_ptr<const Wise> predictor;
-  // Kept past this stage: the SOLVE session stage trains the amortized
-  // dual-model selector from the same measurement records.
-  std::vector<MatrixRecord> records;
   {
+    std::vector<MatrixRecord> records;
     for (const MatrixSpec& spec : training_corpus(quick)) {
       records.push_back(measure_matrix(spec, {.iters = 2, .repeats = 1}));
     }
@@ -718,10 +715,10 @@ int main(int argc, char** argv) {
   // A SOLVE session pays choose + layout conversion once, then every
   // solver iteration reuses the prepared layout out of the sharded cache.
   // The baseline is the sessionless client: choose + prepare + one SpMV
-  // per iteration. The cold request routes through the amortized
-  // dual-model selector trained from the pipeline stage's measurement
-  // records; warm requests must hit the prepared cache. The CI perf-gate
-  // reads session_vs_per_iter_speedup >= 2.0.
+  // per iteration. The cold request chooses for its 500-iteration horizon
+  // with the pipeline stage's bank, whose prep head was trained from the
+  // same measurement records; warm requests must hit the prepared cache.
+  // The CI perf-gate reads session_vs_per_iter_speedup >= 2.0.
   std::printf("[perf_smoke] SOLVE session amortization (cg, stencil)...\n");
   {
     // Large enough that a CG iteration is real work (SpMV + vector ops)
@@ -754,8 +751,6 @@ int main(int argc, char** argv) {
     opts.queue_capacity = 0;
     opts.shards = 4;
     serve::Server server(predictor, opts);
-    server.set_amortized(
-        std::make_shared<const AmortizedWise>(train_amortized(records)));
 
     serve::Request req;
     req.kind = serve::RequestKind::kSolve;

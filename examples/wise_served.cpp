@@ -15,9 +15,10 @@
 //                                SpMV bank's)
 //   SOLVE <matrix.mtx> [solver] [max_iters]
 //                                iterative-solve session (cg | jacobi |
-//                                bicgstab, default cg/200): one amortized
-//                                choose+prepare serves every iteration;
-//                                a warm session reuses the cached layout
+//                                bicgstab, default cg/200): one
+//                                choose+prepare for max_iters SpMVs serves
+//                                every iteration; a warm session reuses
+//                                the cached layout
 //   STATS                        one-line JSON: server/cache counters plus
 //                                the obs metrics snapshot for the batch of
 //                                requests since the previous STATS
@@ -67,7 +68,6 @@
 #include "spmm/model.hpp"
 #include "spmv/plan.hpp"
 #include "util/lru.hpp"
-#include "wise/amortized.hpp"
 #include "wise/model_bank.hpp"
 
 using namespace wise;
@@ -510,22 +510,6 @@ int main(int argc, char** argv) {
           spmm::train_spmm_bank(spmm_corpus, {.k = 8, .iters = 1}));
     }
     server.set_spmm_bank(spmm_bank);
-
-    // Amortized dual-model selector for SOLVE sessions, trained from the
-    // cached mini-corpus measurements (per-config prep times ride along
-    // with the speed labels, so this is free once the cache is warm).
-    try {
-      MeasurementCache amortized_cache;
-      const auto records = amortized_cache.get_or_measure(
-          examples::mini_corpus(), {.iters = 2, .repeats = 1});
-      server.set_amortized(
-          std::make_shared<const AmortizedWise>(train_amortized(records)));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "[wise_served] amortized selector unavailable (%s); "
-                   "SOLVE degrades to the bank's N-agnostic choice\n",
-                   e.what());
-    }
 
     const auto learn_opts = learn::LearnOptions::from_env();
     if (learn_opts.enabled) {

@@ -1,96 +1,59 @@
 #include "exp/train.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "hw/probe.hpp"
 
 namespace wise {
 
-ModelBank train_model_bank(const std::vector<MatrixRecord>& records,
-                           const TreeParams& params) {
+namespace {
+
+/// The one records → targets loop: feature rows are each record's
+/// features followed by `extra_columns`.
+ModelBank train_bank(const std::vector<MatrixRecord>& records,
+                     const std::vector<double>& extra_columns,
+                     const TreeParams& params, const std::string& who) {
   if (records.empty()) {
-    throw std::invalid_argument("train_model_bank: no records");
+    throw std::invalid_argument(who + ": no records");
   }
   const auto configs = all_method_configs();
-  std::vector<std::vector<double>> features;
-  std::vector<std::vector<double>> rel_times;
-  features.reserve(records.size());
-  rel_times.reserve(records.size());
+  const bool with_prep = std::all_of(
+      records.begin(), records.end(), [&](const MatrixRecord& rec) {
+        return rec.config_prep_seconds.size() == configs.size() &&
+               rec.best_csr_seconds() > 0.0;
+      });
+  std::vector<std::vector<double>> features, rel_times, prep_iters;
   for (const auto& rec : records) {
     features.push_back(rec.features);
-    std::vector<double> rel(configs.size());
+    features.back().insert(features.back().end(), extra_columns.begin(),
+                           extra_columns.end());
+    const double base = rec.best_csr_seconds();
+    auto& rel = rel_times.emplace_back(configs.size());
+    auto& prep = prep_iters.emplace_back(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      rel[c] = rec.rel_time(c);
+      rel[c] = rec.config_seconds[c] / base;
+      if (with_prep) prep[c] = rec.config_prep_seconds[c] / base;
     }
-    rel_times.push_back(std::move(rel));
   }
   ModelBank bank;
   bank.train(configs, features, rel_times, params);
+  if (with_prep) bank.train_prep(features, prep_iters, params);
   return bank;
+}
+
+}  // namespace
+
+ModelBank train_model_bank(const std::vector<MatrixRecord>& records,
+                           const TreeParams& params) {
+  return train_bank(records, {}, params, "train_model_bank");
 }
 
 ModelBank train_model_bank_conditioned(
     const std::vector<MatrixRecord>& records, const TreeParams& params) {
-  if (records.empty()) {
-    throw std::invalid_argument("train_model_bank_conditioned: no records");
-  }
-  const auto configs = all_method_configs();
-  const std::vector<double> machine = hw::machine_features();
-  std::vector<std::vector<double>> features;
-  std::vector<std::vector<double>> rel_times;
-  features.reserve(records.size());
-  rel_times.reserve(records.size());
-  for (const auto& rec : records) {
-    std::vector<double> f = rec.features;
-    f.insert(f.end(), machine.begin(), machine.end());
-    features.push_back(std::move(f));
-    std::vector<double> rel(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      rel[c] = rec.rel_time(c);
-    }
-    rel_times.push_back(std::move(rel));
-  }
-  ModelBank bank;
-  bank.train(configs, features, rel_times, params);
-  return bank;
-}
-
-AmortizedWise train_amortized(const std::vector<MatrixRecord>& records,
-                              const TreeParams& params) {
-  if (records.empty()) {
-    throw std::invalid_argument("train_amortized: no records");
-  }
-  const auto configs = all_method_configs();
-  std::vector<std::vector<double>> features;
-  std::vector<std::vector<double>> rel_times;
-  std::vector<std::vector<double>> prep_iters;
-  features.reserve(records.size());
-  rel_times.reserve(records.size());
-  prep_iters.reserve(records.size());
-  for (const auto& rec : records) {
-    if (rec.config_prep_seconds.size() != configs.size()) {
-      throw std::invalid_argument(
-          "train_amortized: record '" + rec.id +
-          "' carries no per-config prep times");
-    }
-    const double base = rec.best_csr_seconds();
-    if (base <= 0.0) {
-      throw std::invalid_argument("train_amortized: record '" + rec.id +
-                                  "' has a non-positive CSR baseline");
-    }
-    features.push_back(rec.features);
-    std::vector<double> rel(configs.size());
-    std::vector<double> prep(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      rel[c] = rec.rel_time(c);
-      prep[c] = rec.config_prep_seconds[c] / base;
-    }
-    rel_times.push_back(std::move(rel));
-    prep_iters.push_back(std::move(prep));
-  }
-  AmortizedWise model;
-  model.train(configs, features, rel_times, prep_iters, params);
-  return model;
+  return train_bank(records, hw::machine_features(), params,
+                    "train_model_bank_conditioned");
 }
 
 }  // namespace wise

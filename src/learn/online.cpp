@@ -114,7 +114,9 @@ std::optional<ModelBank> build_candidate(const ModelBank& live,
   }
   if (refit == 0) return std::nullopt;
   if (refit_out != nullptr) *refit_out = refit;
-  return ModelBank::assemble(configs, std::move(trees), live.feature_dim());
+  // Samples label only the speed head; the prep head rides along as is.
+  return ModelBank::assemble(configs, std::move(trees), live.feature_dim(),
+                             live.prep_trees());
 }
 
 /// The learner trains the SpMV bank — the only bank its Publisher can
@@ -539,7 +541,6 @@ std::shared_ptr<const Wise> OnlineLearner::make_wise(
     // The candidate serves the same traffic the live predictor did: carry
     // its configuration knobs, not the environment defaults.
     wise->feature_params = like->feature_params;
-    wise->validate_input = like->validate_input;
     wise->memory_budget_bytes = like->memory_budget_bytes;
   }
   return wise;

@@ -15,7 +15,8 @@
 //                 crosses WISE_LEARN_DRIFT_THRESHOLD (or every
 //                 WISE_LEARN_INTERVAL_MS), refits the per-config decision
 //                 trees that have enough fresh samples (carrying the live
-//                 trees for the rest), reassembles the bank via
+//                 trees for the rest, and the live prep head unchanged),
+//                 reassembles the bank via
 //                 ModelBank::assemble (the flat-tree recompile), and
 //                 VALIDATES the candidate on a held-out newest slice of
 //                 the WAL: both the candidate and the live bank re-predict

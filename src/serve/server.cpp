@@ -279,14 +279,6 @@ std::shared_ptr<const spmm::SpmmBank> Server::spmm_bank() const {
   return read_bank([](const BankSlot& slot) { return slot.spmm; });
 }
 
-void Server::set_amortized(std::shared_ptr<const AmortizedWise> model) {
-  swap_bank([&](BankSlot& slot) { slot.amortized = std::move(model); });
-}
-
-std::shared_ptr<const AmortizedWise> Server::amortized() const {
-  return read_bank([](const BankSlot& slot) { return slot.amortized; });
-}
-
 void Server::attach_learner(std::shared_ptr<learn::OnlineLearner> learner) {
   std::lock_guard<std::mutex> lock(publish_mutex_);
   if (!learner) {
@@ -437,39 +429,25 @@ CacheStats Server::cache_stats() const {
   return cs;
 }
 
-MethodConfig Server::cheapest_csr_config(const Wise& wise) {
-  const auto& configs = wise.bank().configs();
-  const MethodConfig* best = nullptr;
-  for (const MethodConfig& cfg : configs) {
-    if (cfg.kind != MethodKind::kCsr) continue;
-    if (best == nullptr || cfg.selection_rank() < best->selection_rank()) {
-      best = &cfg;
-    }
-  }
-  return best != nullptr ? *best : MethodConfig{};
-}
-
 std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
                                                      const Request& req,
                                                      const Fingerprint& fp,
-                                                     WiseChoice& choice,
-                                                     bool preset) {
+                                                     WiseChoice& choice) {
   home.counters.prepares.fetch_add(1, std::memory_order_relaxed);
   const std::size_t shard_budget = home.prepared_cache.budget();
   const auto [bank, version] = read_bank([](const BankSlot& slot) {
     return std::pair{slot.wise, slot.version};
   });
-  // A preset choice (the SOLVE path's amortized selection) is converted
-  // as-is; otherwise the bank chooses as part of prepare.
-  PreparedMatrix pm = preset
-                          ? PreparedMatrix::prepare(*req.matrix, choice.config)
-                          : bank->prepare(*req.matrix, choice);
+  const double horizon = req.kind == RequestKind::kSolve
+                             ? static_cast<double>(std::max(1, req.iters))
+                             : kUnboundedHorizon;
+  PreparedMatrix pm = bank->prepare(*req.matrix, choice, horizon);
   if (shard_budget > 0 && choice.config.kind != MethodKind::kCsr &&
       prepared_entry_bytes(*req.matrix, pm) > shard_budget) {
     // A layout that alone overflows its shard's prepared-cache budget would
     // evict the shard's whole working set and still not be cacheable: serve
     // it (and cache it) as the cheapest CSR variant instead.
-    choice.config = cheapest_csr_config(*bank);
+    choice.config = best_csr_config(bank->bank());
     choice.predicted_class = 0;
     choice.fallback_reason =
         "serve: converted layout exceeds WISE_SERVE_CACHE_BYTES budget of " +
@@ -485,9 +463,9 @@ std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
   entry->bytes = prepared_entry_bytes(*req.matrix, pm);
   entry->prepared = std::move(pm);
   entry->bank_version = version;
-  // An amortized (preset) choice answers "best for N iterations", not the
-  // bank's N-agnostic PREDICT — keep it out of the choice tier.
-  if (!preset) home.choice_cache.put(fp, choice);
+  // A finite-horizon choice answers "best for N iterations", not PREDICT's
+  // unbounded question — keep it out of the choice tier.
+  if (std::isinf(choice.horizon)) home.choice_cache.put(fp, choice);
   home.prepared_cache.put(fp, entry);
   return entry;
 }
@@ -495,8 +473,7 @@ std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
 std::shared_ptr<PreparedEntry> Server::prepare_or_join(Shard& home,
                                                        const Request& req,
                                                        const Fingerprint& fp,
-                                                       Response& rsp,
-                                                       bool preset) {
+                                                       Response& rsp) {
   std::promise<std::shared_ptr<PreparedEntry>> my_promise;
   std::shared_future<std::shared_ptr<PreparedEntry>> fut;
   bool leader = false;
@@ -534,7 +511,7 @@ std::shared_ptr<PreparedEntry> Server::prepare_or_join(Shard& home,
 
   try {
     std::shared_ptr<PreparedEntry> entry =
-        prepare_entry(home, req, fp, rsp.choice, preset);
+        prepare_entry(home, req, fp, rsp.choice);
     my_promise.set_value(entry);
     std::lock_guard<std::mutex> lock(home.inflight_mutex);
     home.inflight.erase(fp);
@@ -691,29 +668,12 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
     rsp.prepared_cache_hit = true;
     rsp.choice = entry->choice;
   } else {
-    const auto model = amortized();
-    bool preset = false;
-    if (model != nullptr && model->trained()) {
-      try {
-        auto fv =
-            std::make_shared<std::vector<double>>(extract_features(m).values);
-        const AmortizedChoice ac =
-            model->choose(*fv, static_cast<double>(max_iters));
-        rsp.choice = WiseChoice{};
-        rsp.choice.config = ac.config;
-        rsp.choice.predicted_class = ac.speed_class;
-        rsp.choice.features = std::move(fv);
-        preset = true;
-      } catch (const std::exception&) {
-        preset = false;  // degrade to the bank's N-agnostic choose
-      }
-    }
-    entry = prepare_or_join(home, req, rsp.fingerprint, rsp, preset);
+    entry = prepare_or_join(home, req, rsp.fingerprint, rsp);
   }
   rsp.bank_version = entry->bank_version;
 
   // Time each SpMV through the operator wrapper: the per-SpMV cost is what
-  // the amortized model predicted, and what a sampled session is labeled
+  // the speed head predicted, and what a sampled session is labeled
   // with (the solver's vector work is excluded from the label).
   static thread_local SrvWorkspace solve_ws;
   double spmv_total = 0;

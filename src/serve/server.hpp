@@ -21,13 +21,14 @@
 // counters are per-shard relaxed atomics, aggregated only when stats() is
 // called.
 //
-// Models: the SpMV bank, the SpMM bank and the amortized SOLVE selector
-// live in ONE epoch-protected slot together with the SpMV bank's version.
-// Requests read it under an epoch pin and copy out only the model they
-// use, so no request kind takes a mutex to reach a model. publish_bank,
-// set_spmm_bank and set_amortized all install through the same
-// copy-replace-retire swap; only publish_bank bumps the version and clears
-// the cache tiers (cached entries embed SpMV choices, nothing else).
+// Models: the SpMV bank and the SpMM bank live in ONE epoch-protected slot
+// together with the SpMV bank's version. Requests read it under an epoch
+// pin and copy out only the model they use, so no request kind takes a
+// mutex to reach a model. publish_bank and set_spmm_bank install through
+// the same copy-replace-retire swap; only publish_bank bumps the version
+// and clears the cache tiers (cached entries embed SpMV choices, nothing
+// else). SOLVE prepares for its max iteration count as the horizon; only
+// unbounded-horizon choices enter the choice tier that answers PREDICT.
 //
 // Cold misses COALESCE: concurrent requests for the same not-yet-prepared
 // fingerprint register on the shard's in-flight table and share one
@@ -50,7 +51,7 @@
 //
 // Degradation: when a converted layout alone would overflow its shard's
 // prepared-cache byte budget, the server re-prepares with the bank's
-// cheapest CSR configuration instead (fallback_reason "serve: ..."),
+// best_csr_config (wise/pipeline.hpp) instead (fallback_reason "serve: ..."),
 // mirroring the pipeline's degrade-don't-die contract. The "serve"
 // fault-injection stage (WISE_FAULT_STAGES=serve) makes the overload error
 // path deterministic in tests.
@@ -82,7 +83,6 @@
 #include "util/epoch.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
-#include "wise/amortized.hpp"
 #include "wise/pipeline.hpp"
 
 namespace wise::serve {
@@ -96,10 +96,9 @@ enum class RequestKind {
   /// CSR arrays directly — no prepared-cache entry — so only the choice is
   /// model work.
   kSpmm,
-  /// One whole iterative solve (src/solvers/) as a single request: choose
-  /// once with the amortized dual-model selector (set_amortized;
-  /// src/wise/amortized.hpp) using `iters` as the expected iteration
-  /// count, prepare once into the shard's prepared cache, then run every
+  /// One whole iterative solve (src/solvers/) as a single request: prepare
+  /// once through the SpMV bank with `iters` as the horizon
+  /// (Wise::prepare), into the shard's prepared cache, then run every
   /// solver iteration on that layout. A warm session (fingerprint already
   /// prepared) skips choose AND prepare — the paper's "one-time selection,
   /// many iterations" amortization, measured by the solve-session perf
@@ -139,7 +138,7 @@ struct Request {
   std::shared_ptr<const CsrMatrix> matrix;
   std::string id;  ///< caller tag (e.g. file path), echoed in the response
   /// kRun: SpMV iterations. kSpmm: SpMM iterations. kSolve: the solver's
-  /// max iteration count AND the amortized selector's expected-N.
+  /// max iteration count AND the horizon its layout is chosen for.
   int iters = 1;
   int rhs_cols = 4;  ///< kSpmm: dense RHS column count, clamped to [1, 64]
   /// kSolve: "cg" (default), "jacobi", or "bicgstab".
@@ -272,13 +271,6 @@ class Server {
   void set_spmm_bank(std::shared_ptr<const spmm::SpmmBank> bank);
   std::shared_ptr<const spmm::SpmmBank> spmm_bank() const;
 
-  /// Installs the amortized dual-model selector kSolve sessions choose
-  /// with (nullptr uninstalls; unversioned like set_spmm_bank). Without
-  /// one, sessions fall back to the SpMV bank's N-agnostic choose().
-  /// Thread-safe.
-  void set_amortized(std::shared_ptr<const AmortizedWise> model);
-  std::shared_ptr<const AmortizedWise> amortized() const;
-
  private:
   /// Hot-path counters, one cache-line-padded block per shard. Relaxed
   /// atomics: each event is a single uncontended fetch_add; cross-shard
@@ -327,7 +319,6 @@ class Server {
   struct BankSlot {
     std::shared_ptr<const Wise> wise;
     std::shared_ptr<const spmm::SpmmBank> spmm;
-    std::shared_ptr<const AmortizedWise> amortized;
     std::uint64_t version = 1;
   };
 
@@ -354,7 +345,7 @@ class Server {
   /// kSpmm: choose from the SpMM bank, run the blocked kernel on a seeded
   /// RHS, optionally sample (workload class spmm).
   Response process_spmm(Shard& home, const Request& req, Response rsp);
-  /// kSolve: amortized choose + cached prepare + full iterative solve.
+  /// kSolve: cached prepare for `iters` SpMVs + full iterative solve.
   /// Samples carry workload class session.
   Response process_solve(Shard& home, const Request& req, Response rsp);
   /// Labels a sampled request for the online learner: times `iters` runs
@@ -370,20 +361,16 @@ class Server {
               int iters, double chosen_per_iter, MakeBaseline make_baseline);
   /// Cache-miss path: join the shard's in-flight prepare for `fp` or become
   /// its leader. Exactly one conversion runs per fingerprint no matter how
-  /// many requests race. Marks rsp.coalesced on joiners. With `preset` the
-  /// choice already in rsp.choice is converted as-is (the SOLVE path, whose
-  /// amortized selection must not be re-chosen by the SpMV bank); without
-  /// it the bank chooses during prepare.
+  /// many requests race. Marks rsp.coalesced on joiners.
   std::shared_ptr<PreparedEntry> prepare_or_join(Shard& home,
                                                  const Request& req,
                                                  const Fingerprint& fp,
-                                                 Response& rsp,
-                                                 bool preset = false);
+                                                 Response& rsp);
+  /// The leader's prepare: the bank chooses and converts for the request's
+  /// horizon (kSolve: its max iterations; otherwise unbounded).
   std::shared_ptr<PreparedEntry> prepare_entry(Shard& home, const Request& req,
                                                const Fingerprint& fp,
-                                               WiseChoice& choice,
-                                               bool preset = false);
-  static MethodConfig cheapest_csr_config(const Wise& wise);
+                                               WiseChoice& choice);
 
   /// Current bank slot; readers go through read_bank(). Swapped-out slots
   /// are retired to the global epoch domain and reclaimed on later swaps

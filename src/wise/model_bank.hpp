@@ -5,12 +5,14 @@
 // (wise/tree_bank.hpp), saved to and loaded from a directory so a trained
 // WISE ships with the library.
 //
-// Persistence format (<dir>/models.txt), version 3:
+// Persistence format (<dir>/models.txt), version 3 or 4:
 //
-//   wise-model-bank v3
+//   wise-model-bank v3|v4
 //   features <feature dim>
 //   <#configs>
 //   <checksummed tree records, ml/tree_record.hpp>
+//   prep <#configs>                               v4: the prep head
+//   <checksummed prep-head tree records>          (wise/tree_bank.hpp)
 //
 // The feature-dim record is what makes hardware-conditioned banks
 // possible: a bank trained on 67 + 5 machine-feature columns
@@ -35,7 +37,8 @@ struct BankTraits<MethodConfig> {
                                   .version = 3,
                                   .oldest_version = 1,
                                   .checksums_since = 2,
-                                  .features_since = 3};
+                                  .features_since = 3,
+                                  .prep_since = 4};
   static MethodConfig parse(const std::string& name) {
     return parse_method_config(name);
   }

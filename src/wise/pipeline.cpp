@@ -19,49 +19,27 @@ namespace wise {
 
 namespace {
 
-/// The configuration the pipeline demotes to when a stage fails: the best
-/// CSR variant the bank knows. With per-config predictions available the
-/// selection heuristic runs restricted to the CSR subset; without them the
-/// deterministic tie-break order picks the cheapest CSR variant. A bank
-/// with no CSR configuration at all falls back to the library default
-/// (CSR, static-contiguous).
-MethodConfig best_csr_config(const ModelBank& bank,
-                             const std::vector<int>* classes,
-                             int* predicted_class) {
-  std::vector<MethodConfig> csr;
-  std::vector<int> csr_classes;
-  const auto& configs = bank.configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i].kind != MethodKind::kCsr) continue;
-    csr.push_back(configs[i]);
-    if (classes != nullptr) csr_classes.push_back((*classes)[i]);
-  }
-  if (csr.empty()) return MethodConfig{};  // library default: CSR / StCont
-
-  std::size_t best = 0;
-  if (classes != nullptr) {
-    best = select_best_config(csr, csr_classes);
-    if (predicted_class != nullptr) {
-      *predicted_class = csr_classes[best];
-    }
-  } else {
-    for (std::size_t i = 1; i < csr.size(); ++i) {
-      if (csr[i].selection_rank() < csr[best].selection_rank()) best = i;
-    }
-  }
-  return csr[best];
-}
-
 /// Stamps a demoted choice: CSR config + "<stage>: <why>".
 void demote(WiseChoice& choice, const ModelBank& bank, const char* stg,
-            const std::string& why, const std::vector<int>* classes) {
+            const std::string& why) {
   choice.predicted_class = 0;
-  choice.config = best_csr_config(bank, classes, &choice.predicted_class);
+  choice.config = best_csr_config(bank);
   choice.fallback_reason = std::string(stg) + ": " + why;
   obs::MetricsRegistry::global().add("wise.fallback.count");
 }
 
 }  // namespace
+
+MethodConfig best_csr_config(const ModelBank& bank) {
+  const MethodConfig* best = nullptr;
+  for (const MethodConfig& cfg : bank.configs()) {
+    if (cfg.kind != MethodKind::kCsr) continue;
+    if (best == nullptr || cfg.selection_rank() < best->selection_rank()) {
+      best = &cfg;
+    }
+  }
+  return best != nullptr ? *best : MethodConfig{};
+}
 
 Wise::Wise(ModelBank bank) : bank_(std::move(bank)) {
   if (!bank_.trained()) {
@@ -71,7 +49,10 @@ Wise::Wise(ModelBank bank) : bank_(std::move(bank)) {
       static_cast<std::size_t>(env_int("WISE_MEMORY_BUDGET", 0));
 }
 
-WiseChoice Wise::choose(const CsrMatrix& m) const {
+WiseChoice Wise::choose(const CsrMatrix& m, double horizon) const {
+  if (!(horizon > 0)) {
+    throw std::invalid_argument("Wise::choose: horizon must be > 0");
+  }
   WiseChoice choice;
   choice.feature_threads = omp_get_max_threads();
   auto& metrics = obs::MetricsRegistry::global();
@@ -94,13 +75,12 @@ WiseChoice Wise::choose(const CsrMatrix& m) const {
     }
   } catch (const std::exception& e) {
     choice.feature_seconds = t.seconds();
-    demote(choice, bank_, stage::kFeature, e.what(), nullptr);
+    demote(choice, bank_, stage::kFeature, e.what());
     return choice;
   }
   choice.feature_seconds = t.seconds();
 
   t.reset();
-  std::vector<int> classes;
   try {
     obs::ScopedTimer span("wise.choose.inference");
     FaultInjector::global().maybe_throw(stage::kInference,
@@ -113,16 +93,21 @@ WiseChoice Wise::choose(const CsrMatrix& m) const {
         features.values.push_back(v);
       }
     }
-    classes = bank_.predict_classes(features.values);
+    const std::vector<int> classes = bank_.predict_classes(features.values);
+    std::vector<int> prep_classes;
+    if (!std::isinf(horizon) && bank_.has_prep_head()) {
+      prep_classes = bank_.predict_prep_classes(features.values);
+    }
     const std::vector<char> applicable =
         applicability_mask(bank_.configs(), m);
-    const std::size_t best =
-        select_best_config(bank_.configs(), classes, applicable);
+    const std::size_t best = select_config(bank_.configs(), classes,
+                                           applicable, prep_classes, horizon);
     choice.config = bank_.configs()[best];
     choice.predicted_class = classes[best];
+    if (!prep_classes.empty()) choice.horizon = horizon;
   } catch (const std::exception& e) {
     choice.inference_seconds = t.seconds();
-    demote(choice, bank_, stage::kInference, e.what(), nullptr);
+    demote(choice, bank_, stage::kInference, e.what());
     return choice;
   }
   choice.inference_seconds = t.seconds();
@@ -136,22 +121,25 @@ PreparedMatrix Wise::prepare(const CsrMatrix& m) const {
   return prepare(m, choice);
 }
 
-PreparedMatrix Wise::prepare(const CsrMatrix& m,
-                             WiseChoice& choice_out) const {
+PreparedMatrix Wise::prepare(const CsrMatrix& m, WiseChoice& choice_out,
+                             double horizon) const {
+  if (!(horizon > 0)) {
+    throw std::invalid_argument("Wise::prepare: horizon must be > 0");
+  }
   try {
     FaultInjector::global().maybe_throw(stage::kParse,
                                         ErrorCategory::kValidation);
-    if (validate_input) {
+    {
       obs::ScopedTimer span("wise.prepare.validate");
       m.validate();
     }
-    choice_out = choose(m);
+    choice_out = choose(m, horizon);
   } catch (const std::exception& e) {
     // Input validation failed before selection could run; the CSR baseline
     // executes the matrix as-is.
     choice_out = WiseChoice{};
     choice_out.feature_threads = omp_get_max_threads();
-    demote(choice_out, bank_, stage::kParse, e.what(), nullptr);
+    demote(choice_out, bank_, stage::kParse, e.what());
   }
 
   if (choice_out.config.kind != MethodKind::kCsr) {
@@ -179,9 +167,9 @@ PreparedMatrix Wise::prepare(const CsrMatrix& m,
       return pm;
     } catch (const std::bad_alloc&) {
       demote(choice_out, bank_, stage::kConversion,
-             "out of memory during layout conversion", nullptr);
+             "out of memory during layout conversion");
     } catch (const std::exception& e) {
-      demote(choice_out, bank_, stage::kConversion, e.what(), nullptr);
+      demote(choice_out, bank_, stage::kConversion, e.what());
     }
   }
   return PreparedMatrix::prepare(m, choice_out.config);

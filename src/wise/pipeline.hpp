@@ -8,6 +8,10 @@
 //   auto prepared = predictor.prepare(csr_matrix);   // picks + converts
 //   prepared.run(x, y);                              // fast SpMV
 //
+// Callers that know how many SpMVs they will run pass that count as the
+// horizon, so a bank with a prep head can weigh conversion cost
+// (wise/selector.hpp); the default, unbounded horizon is the paper's.
+//
 // The choice is user-transparent: callers never name a format — and it is
 // never worse than the CSR baseline. When any stage fails (invalid input,
 // non-finite features, a corrupt model bank, a failed or over-budget layout
@@ -27,8 +31,8 @@
 //    static (the feature-name table) has thread-safe magic-static init.
 //  * The global MetricsRegistry and FaultInjector the stages consult are
 //    internally synchronized.
-// The mutable knobs below (feature_params, validate_input,
-// memory_budget_bytes) are configuration: set them before sharing the
+// The mutable knobs below (feature_params, memory_budget_bytes) are
+// configuration: set them before sharing the
 // object across threads. The PreparedMatrix a prepare() returns is NOT
 // concurrency-safe (see executor.hpp) — each caller runs its own.
 
@@ -41,6 +45,7 @@
 #include "features/extractor.hpp"
 #include "spmv/executor.hpp"
 #include "wise/model_bank.hpp"
+#include "wise/selector.hpp"
 
 namespace wise {
 
@@ -51,6 +56,9 @@ struct WiseChoice {
   double feature_seconds = 0;    ///< feature-extraction wall time
   double inference_seconds = 0;  ///< tree-inference + selection wall time
   int feature_threads = 1;       ///< OpenMP threads available to the extractor
+  /// The caller's horizon when the bank's prep head was consulted,
+  /// kUnboundedHorizon otherwise.
+  double horizon = kUnboundedHorizon;
 
   /// Empty on the normal path. On degradation: "<stage>: <why>", where
   /// stage is one of parse, feature, inference, conversion (see
@@ -73,27 +81,28 @@ class Wise {
   /// Takes ownership of a trained bank. Throws if the bank is untrained.
   explicit Wise(ModelBank bank);
 
-  /// Runs feature extraction + model inference + the selection heuristic.
-  /// Never throws on data-driven failures: a failing stage demotes the
-  /// choice to the best CSR configuration (see WiseChoice::fallback_reason).
-  WiseChoice choose(const CsrMatrix& m) const;
+  /// Runs feature extraction + model inference + select_config over the
+  /// configurations applicable to `m`, for `horizon` SpMV runs. Never
+  /// throws on data-driven failures: a failing stage demotes the choice to
+  /// the best CSR configuration (see WiseChoice::fallback_reason). Throws
+  /// std::invalid_argument on a horizon that is not > 0.
+  WiseChoice choose(const CsrMatrix& m,
+                    double horizon = kUnboundedHorizon) const;
 
-  /// choose() + layout conversion. The returned PreparedMatrix references
-  /// `m` when CSR is selected, so `m` must outlive it. A failed or
-  /// over-budget conversion falls back to CSR rather than throwing.
+  /// Validation + choose() + layout conversion. The returned
+  /// PreparedMatrix references `m` when CSR is selected, so `m` must
+  /// outlive it. Invalid input and a failed or over-budget conversion fall
+  /// back to CSR rather than throwing.
   PreparedMatrix prepare(const CsrMatrix& m) const;
 
-  /// Same, reporting the (possibly demoted) choice through `choice_out`.
-  PreparedMatrix prepare(const CsrMatrix& m, WiseChoice& choice_out) const;
+  /// Same, for `horizon` SpMV runs, reporting the (possibly demoted)
+  /// choice through `choice_out`.
+  PreparedMatrix prepare(const CsrMatrix& m, WiseChoice& choice_out,
+                         double horizon = kUnboundedHorizon) const;
 
   const ModelBank& bank() const { return bank_; }
 
   FeatureParams feature_params;  ///< tiling resolution override, if any
-
-  /// Re-validate the input matrix at the top of prepare() (O(nnz) scan).
-  /// On by default; hot loops that prepare many trusted matrices can turn
-  /// it off.
-  bool validate_input = true;
 
   /// Upper bound in bytes for a converted (non-CSR) layout; conversions
   /// whose estimated or actual footprint exceeds it are demoted to CSR
@@ -104,5 +113,10 @@ class Wise {
  private:
   ModelBank bank_;
 };
+
+/// The configuration a failed stage demotes to: the bank's CSR variant
+/// first in the selection tie-break order, or the library default (CSR,
+/// static-contiguous) when the bank has none.
+MethodConfig best_csr_config(const ModelBank& bank);
 
 }  // namespace wise

@@ -36,4 +36,16 @@ double class_midpoint_rel(int cls);
 /// "C0".."C6".
 std::string class_name(int cls);
 
+// Preparation-cost classes P0..P5 (a bank's prep head): layout-conversion
+// time in units of one best-CSR SpMV iteration.
+inline constexpr int kNumPrepClasses = 6;
+
+/// Buckets a preprocessing cost (in best-CSR iterations) into classes
+/// P0=[0,1) P1=[1,3) P2=[3,8) P3=[8,20) P4=[20,50) P5=[50,inf).
+/// Throws std::invalid_argument on a negative or NaN cost.
+int classify_prep_cost(double prep_csr_iters);
+
+/// Representative cost of a class (geometric-ish midpoints; P5 uses 80).
+double prep_class_midpoint(int cls);
+
 }  // namespace wise

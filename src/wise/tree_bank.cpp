@@ -1,5 +1,6 @@
 #include "wise/tree_bank.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,11 +19,22 @@ std::string TreeBankCore::where(const char* what) const {
   return std::string(file_->who) + "::" + what + ": ";
 }
 
-void TreeBankCore::fit(std::size_t num_configs,
-                       const std::vector<std::vector<double>>& features,
-                       const std::vector<std::vector<double>>& targets,
-                       const TreeParams& params, const ClassHead& head) {
-  const std::string who = where("train");
+namespace {
+
+/// What a bank's trees predict: the class of a measured target.
+struct ClassHead {
+  int num_classes;
+  int (*label)(double target);
+};
+constexpr ClassHead kSpeedupHead{kNumSpeedupClasses, classify_relative_time};
+constexpr ClassHead kPrepHead{kNumPrepClasses, classify_prep_cost};
+
+/// Fits one `head` tree per target column after checking the shapes.
+std::vector<DecisionTree> fit_head(
+    const std::string& who, std::size_t num_configs,
+    const std::vector<std::vector<double>>& features,
+    const std::vector<std::vector<double>>& targets, const TreeParams& params,
+    const ClassHead& head) {
   if (num_configs == 0) {
     throw std::invalid_argument(who + "no configurations");
   }
@@ -52,15 +64,49 @@ void TreeBankCore::fit(std::size_t num_configs,
     }
     trees[c].fit(ds, params);
   }
+  return trees;
+}
+
+}  // namespace
+
+void TreeBankCore::fit(std::size_t num_configs,
+                       const std::vector<std::vector<double>>& features,
+                       const std::vector<std::vector<double>>& targets,
+                       const TreeParams& params) {
+  std::vector<DecisionTree> trees = fit_head(
+      where("train"), num_configs, features, targets, params, kSpeedupHead);
   warnings_.clear();
-  set_trees(std::move(trees), width);
+  set_trees(std::move(trees), features[0].size());
+}
+
+void TreeBankCore::train_prep(
+    const std::vector<std::vector<double>>& features,
+    const std::vector<std::vector<double>>& prep_targets,
+    const TreeParams& params) {
+  const std::string who = where("train_prep");
+  if (!trained()) throw std::logic_error(who + "train the speed head first");
+  if (!features.empty() && features[0].size() != feature_dim()) {
+    throw std::invalid_argument(who + "feature width != the bank's");
+  }
+  std::vector<DecisionTree> prep = fit_head(who, trees_.size(), features,
+                                            prep_targets, params, kPrepHead);
+  prep_flat_ = FlatTreeEnsemble::build(prep);
+  prep_trees_ = std::move(prep);
 }
 
 void TreeBankCore::set_trees(std::vector<DecisionTree> trees,
-                             std::size_t feature_dim) {
+                             std::size_t feature_dim,
+                             std::vector<DecisionTree> prep_trees) {
+  if (!prep_trees.empty() && prep_trees.size() != trees.size()) {
+    throw std::invalid_argument(where("assemble") +
+                                "#prep trees != #configs");
+  }
   // build() rejects unfitted trees, so a half-initialized bank cannot leak.
   flat_ = FlatTreeEnsemble::build(trees);
+  prep_flat_ = prep_trees.empty() ? FlatTreeEnsemble{}
+                                  : FlatTreeEnsemble::build(prep_trees);
   trees_ = std::move(trees);
+  prep_trees_ = std::move(prep_trees);
   feature_dim_ = feature_dim;
 }
 
@@ -103,6 +149,17 @@ void TreeBankCore::predict_classes_into(std::span<const double> features,
   flat_.predict_batch(features, out);
 }
 
+std::vector<int> TreeBankCore::predict_prep_classes(
+    std::span<const double> features) const {
+  if (!has_prep_head()) {
+    throw std::logic_error(where("predict_prep_classes") + "no prep head");
+  }
+  check_width(features);
+  std::vector<int> out(prep_trees_.size());
+  prep_flat_.predict_batch(features, out);
+  return out;
+}
+
 void TreeBankCore::save_file(const std::string& dir,
                              const std::vector<std::string>& names) const {
   const BankFile& f = *file_;
@@ -112,6 +169,11 @@ void TreeBankCore::save_file(const std::string& dir,
                            " cannot record a feature width of " +
                            std::to_string(feature_dim()));
   }
+  if (has_prep_head() && f.prep_since == 0) {
+    throw std::logic_error(where("save") + f.name +
+                           " cannot record a prep head");
+  }
+  const int version = has_prep_head() ? f.prep_since : f.version;
   std::filesystem::create_directories(dir);
   const auto path = (std::filesystem::path(dir) / f.name).string();
   std::ofstream out(path);
@@ -119,11 +181,17 @@ void TreeBankCore::save_file(const std::string& dir,
     throw Error(ErrorCategory::kResource, where("save") + "cannot write to " + dir,
                 {.file = path});
   }
-  out << f.magic << " v" << f.version << '\n';
-  if (f.has_features(f.version)) out << "features " << feature_dim() << '\n';
+  out << f.magic << " v" << version << '\n';
+  if (f.has_features(version)) out << "features " << feature_dim() << '\n';
   out << names.size() << '\n';
   for (std::size_t c = 0; c < names.size(); ++c) {
     write_tree_record(out, names[c], trees_[c]);
+  }
+  if (has_prep_head()) {
+    out << "prep " << names.size() << '\n';
+    for (std::size_t c = 0; c < names.size(); ++c) {
+      write_tree_record(out, names[c], prep_trees_[c]);
+    }
   }
   if (!out) {
     throw Error(ErrorCategory::kResource,
@@ -149,7 +217,8 @@ void TreeBankCore::load_file(
   std::string magic, version_tag;
   in >> magic >> version_tag;
   int version = 0;
-  for (int v = f.oldest_version; v <= f.version; ++v) {
+  const int newest = std::max(f.version, f.prep_since);
+  for (int v = f.oldest_version; v <= newest; ++v) {
     if (version_tag == 'v' + std::to_string(v)) version = v;
   }
   if (magic != f.magic || version == 0) fail("bad header");
@@ -181,9 +250,11 @@ void TreeBankCore::load_file(
   }
 
   trees_.reserve(n);
+  std::vector<std::string> kept;
   const auto keep = [&](const std::string& name, DecisionTree tree) {
     add_config(name);
     trees_.push_back(std::move(tree));
+    kept.push_back(name);
   };
   if (version < f.checksums_since) {
     // The legacy checksum-free body: strict, any damage throws.
@@ -198,6 +269,45 @@ void TreeBankCore::load_file(
     read_tree_records(in, n, path, who, keep, warnings_);
   }
   flat_ = FlatTreeEnsemble::build(trees_);
+  if (f.has_prep(version)) load_prep(in, n, kept, path);
+}
+
+void TreeBankCore::load_prep(std::istream& in, std::size_t n,
+                             const std::vector<std::string>& names,
+                             const std::string& path) {
+  const std::string who = std::string(file_->who) + "::load";
+  std::vector<std::string> prep_names, skipped;
+  std::vector<DecisionTree> prep;
+  std::string why = "prep section does not list one tree per configuration";
+  bool read = false;
+  try {
+    std::string tag;
+    std::size_t count = 0;
+    in >> tag >> count;
+    if (in && tag == "prep" && count == n) {
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      read_tree_records(
+          in, n, path, who,
+          [&](const std::string& name, DecisionTree tree) {
+            prep_names.push_back(name);
+            prep.push_back(std::move(tree));
+          },
+          skipped);
+      read = true;
+      if (!skipped.empty()) why = skipped.front();
+    }
+  } catch (const std::exception& e) {
+    why = e.what();
+  }
+  // Aligned means one intact prep tree per kept speed tree, in order.
+  if (read && skipped.empty() && prep_names == names) {
+    prep_flat_ = FlatTreeEnsemble::build(prep);
+    prep_trees_ = std::move(prep);
+    return;
+  }
+  const std::string warning = "prep head dropped: " + why;
+  std::fprintf(stderr, "%s: %s\n", who.c_str(), warning.c_str());
+  warnings_.push_back(warning);
 }
 
 }  // namespace wise::detail

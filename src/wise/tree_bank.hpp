@@ -8,15 +8,13 @@
 //
 //   ModelBank        = TreeBank<MethodConfig>        (wise/model_bank.hpp)
 //   spmm::SpmmBank   = TreeBank<spmm::SpmmConfig>    (spmm/model.hpp)
-//   AmortizedWise    = two TreeBank<MethodConfig>s, speed and prep heads
-//                      (wise/amortized.hpp)
 //
-// The class head is what a tree predicts: a label function from a measured
-// target to a class, plus the class count — kSpeedupHead (C0..C6 of
-// t_config / t_baseline) or kPrepHead (P0..P5 of preparation cost,
-// wise/amortized.hpp). Inference always runs on the flattened ensemble
-// (ml/flat_tree.hpp), bit-identical to walking each tree for finite
-// features, behind a feature-width check.
+// The speed head predicts C0..C6 of t_config / t_baseline; the optional
+// prep head (train_prep) predicts P0..P5 of each configuration's
+// preparation cost in baseline iterations (wise/speedup_class.hpp).
+// Inference always runs on the flattened ensembles (ml/flat_tree.hpp),
+// bit-identical to walking each tree for finite features, behind a
+// feature-width check.
 //
 // Each config type names its bank file through BankTraits<Config>; the
 // header is data, not a code fork:
@@ -28,16 +26,20 @@
 //   tree <payload bytes> <fnv1a checksum, hex>     (ml/tree_record.hpp)
 //   <payload: serialized DecisionTree, exactly that many bytes>
 //   ... repeated per configuration ...
+//   prep <#configs>            only from BankFile::prep_since on
+//   <the same tree records for the prep head, in configuration order>
 //
-// Versions older than BankFile::checksums_since carry a bare
-// "<config name>\n<tree>" body and load strictly. A file older than
-// features_since loads with a counted "legacy" warning, pinned to the 67
-// matrix features. Corrupt individual trees are skipped with a warning
-// (degrade, don't die); a bank in which no tree survives throws
-// wise::Error (kModelBank).
+// A bank without a prep head saves as BankFile::version. Versions older than
+// BankFile::checksums_since carry a bare "<config name>\n<tree>" body and
+// load strictly. A file older than features_since loads with a counted
+// "legacy" warning, pinned to the 67 matrix features. Corrupt individual
+// speed trees are skipped with a warning (degrade, don't die); a bank in
+// which no speed tree survives throws wise::Error (kModelBank). A damaged
+// or misaligned prep section drops only the prep head, with one warning.
 
 #include <cstddef>
 #include <functional>
+#include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -49,29 +51,23 @@
 
 namespace wise {
 
-/// What a bank's trees predict: the class of a measured target.
-struct ClassHead {
-  int num_classes;
-  int (*label)(double target);
-};
-
-/// C0..C6 of t_config / t_baseline (wise/speedup_class.hpp).
-inline constexpr ClassHead kSpeedupHead{kNumSpeedupClasses,
-                                        classify_relative_time};
-
 /// The on-disk header of one bank type.
 struct BankFile {
   const char* who;       ///< message prefix, e.g. "ModelBank"
   const char* name;      ///< file name inside the bank directory
   const char* magic;     ///< first header token
-  int version;           ///< the version save() writes
-  int oldest_version;    ///< load() reads oldest_version..version
+  int version;           ///< the version save() writes without a prep head
+  int oldest_version;    ///< load() reads oldest_version and newer
   int checksums_since;   ///< first version with checksummed tree records
   int features_since;    ///< first version with a features record; 0 = none
+  /// The version save() writes with a prep head, and the first that may
+  /// carry one; 0 = this bank type never has one.
+  int prep_since = 0;
 
   bool has_features(int v) const {
     return features_since != 0 && v >= features_since;
   }
+  bool has_prep(int v) const { return prep_since != 0 && v >= prep_since; }
 };
 
 /// Specialized per config type: `static constexpr BankFile kFile` and
@@ -111,23 +107,45 @@ class TreeBankCore {
   const FlatTreeEnsemble& flat() const { return flat_; }
   bool trained() const { return !trees_.empty(); }
 
-  /// Human-readable reports of trees skipped by load(); empty when the
-  /// bank loaded cleanly.
+  /// Fits the prep head: one P0..P5 tree per configuration, on the speed
+  /// head's feature width. prep_targets[i][c] is the preparation
+  /// cost of configuration c on training matrix i, in baseline
+  /// iterations. Throws std::logic_error on an untrained bank and
+  /// std::invalid_argument on shape mismatches.
+  void train_prep(const std::vector<std::vector<double>>& features,
+                  const std::vector<std::vector<double>>& prep_targets,
+                  const TreeParams& params = {});
+
+  /// True when the bank carries the optional prep head.
+  bool has_prep_head() const { return !prep_trees_.empty(); }
+  /// The prep head's trees, in configs() order; empty without one.
+  const std::vector<DecisionTree>& prep_trees() const { return prep_trees_; }
+
+  /// Predicted prep class per configuration, in configs() order. Throws
+  /// std::logic_error without a prep head, std::invalid_argument on a
+  /// feature vector of the wrong width.
+  std::vector<int> predict_prep_classes(std::span<const double> features) const;
+
+  /// Human-readable reports of trees skipped, or a prep head dropped, by
+  /// load(); empty when the bank loaded cleanly.
   const std::vector<std::string>& warnings() const { return warnings_; }
 
  protected:
   explicit TreeBankCore(const BankFile& file) : file_(&file) {}
 
-  /// Fits one tree per target column. Throws std::invalid_argument on
-  /// shape mismatches.
+  /// Fits the speed head, one tree per target column, and drops any prep
+  /// head. Throws std::invalid_argument on shape mismatches.
   void fit(std::size_t num_configs,
            const std::vector<std::vector<double>>& features,
            const std::vector<std::vector<double>>& targets,
-           const TreeParams& params, const ClassHead& head);
+           const TreeParams& params);
 
-  /// Installs fitted trees and rebuilds the flat ensemble (which rejects
-  /// unfitted trees). `feature_dim` 0 means the default 67.
-  void set_trees(std::vector<DecisionTree> trees, std::size_t feature_dim);
+  /// Installs fitted speed trees and an optional prep head (empty = none)
+  /// and rebuilds the flat ensembles (which reject unfitted trees).
+  /// `feature_dim` 0 means the default 67. Throws std::invalid_argument
+  /// when a prep head does not cover every configuration.
+  void set_trees(std::vector<DecisionTree> trees, std::size_t feature_dim,
+                 std::vector<DecisionTree> prep_trees = {});
 
   void save_file(const std::string& dir,
                  const std::vector<std::string>& names) const;
@@ -142,10 +160,18 @@ class TreeBankCore {
 
  private:
   void check_width(std::span<const double> features) const;
+  /// Reads a v<prep_since>+ file's prep section for the configurations
+  /// `names` kept from the speed section. Damage or misalignment drops
+  /// the prep head with one warning; it never throws.
+  void load_prep(std::istream& in, std::size_t n,
+                 const std::vector<std::string>& names,
+                 const std::string& path);
 
   const BankFile* file_;
   std::vector<DecisionTree> trees_;
   FlatTreeEnsemble flat_;
+  std::vector<DecisionTree> prep_trees_;  ///< empty = no prep head
+  FlatTreeEnsemble prep_flat_;
   std::vector<std::string> warnings_;
   std::size_t feature_dim_ = 0;  ///< 0 = the default 67 matrix features
 };
@@ -165,29 +191,31 @@ class TreeBank : public detail::TreeBankCore {
   ///                   configs[c], that `head` labels (for kSpeedupHead,
   ///                   t_config / t_baseline)
   /// All feature rows must share one width; that width becomes
-  /// feature_dim(). Throws std::invalid_argument on shape mismatches.
+  /// feature_dim(). Retraining drops the prep head (train_prep refits
+  /// it). Throws std::invalid_argument on shape mismatches.
   void train(const std::vector<Config>& configs,
              const std::vector<std::vector<double>>& features,
              const std::vector<std::vector<double>>& targets,
-             const TreeParams& params = {},
-             const ClassHead& head = kSpeedupHead) {
-    fit(configs.size(), features, targets, params, head);
+             const TreeParams& params = {}) {
+    fit(configs.size(), features, targets, params);
     configs_ = configs;
   }
 
   /// Builds a bank from already-fitted trees, one per configuration — the
-  /// online-learning retrainer's path (src/learn/). Throws
+  /// online-learning retrainer's path (src/learn/) — with an optional
+  /// prep head, also one tree per configuration. Throws
   /// std::invalid_argument on shape mismatch, emptiness, or an unfitted
   /// tree. `feature_dim` 0 means "the default 67 matrix features".
   static TreeBank assemble(std::vector<Config> configs,
                            std::vector<DecisionTree> trees,
-                           std::size_t feature_dim = 0) {
+                           std::size_t feature_dim = 0,
+                           std::vector<DecisionTree> prep_trees = {}) {
     TreeBank bank;
     if (configs.empty() || configs.size() != trees.size()) {
       throw std::invalid_argument(bank.where("assemble") +
                                   "#configs != #trees or empty");
     }
-    bank.set_trees(std::move(trees), feature_dim);
+    bank.set_trees(std::move(trees), feature_dim, std::move(prep_trees));
     bank.configs_ = std::move(configs);
     return bank;
   }
@@ -195,9 +223,11 @@ class TreeBank : public detail::TreeBankCore {
   /// The §7 add-a-method path: a new bank whose configuration list is
   /// base's plus `new_configs`, and whose trees are base's trees —
   /// unchanged, byte-identical on save() — plus the freshly trained
-  /// `new_trees`. Throws std::invalid_argument on shape mismatch or a
-  /// config name already present in base (existing models must never be
-  /// replaced through this path).
+  /// `new_trees`. The result has no prep head: the new configurations
+  /// have no prep trees, and a partial head cannot be weighed. Throws
+  /// std::invalid_argument on shape mismatch or a config name already
+  /// present in base (existing models must never be replaced through this
+  /// path).
   static TreeBank extended(const TreeBank& base,
                            std::vector<Config> new_configs,
                            std::vector<DecisionTree> new_trees) {

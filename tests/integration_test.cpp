@@ -14,7 +14,6 @@
 #include "solvers/solvers.hpp"
 #include "sparse/utils.hpp"
 #include "test_util.hpp"
-#include "wise/amortized.hpp"
 #include "wise/pipeline.hpp"
 #include "wise/selector.hpp"
 #include "wise/speedup_class.hpp"
@@ -98,34 +97,22 @@ TEST_F(WiseLifecycle, TrainedModelsBeatRandomSelectionOnTrainingSet) {
   EXPECT_LE(wise_total, csr_total * 1.05);
 }
 
-TEST_F(WiseLifecycle, AmortizedSelectorConvergesToPaperHeuristicAtLargeN) {
-  const auto configs = all_method_configs();
-  std::vector<std::vector<double>> features, rel_times, prep_iters;
-  for (const auto& rec : *records_) {
-    features.push_back(rec.features);
-    std::vector<double> rel(configs.size()), prep(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      rel[c] = rec.rel_time(c);
-      prep[c] = rec.config_prep_seconds[c] / rec.best_csr_seconds();
-    }
-    rel_times.push_back(std::move(rel));
-    prep_iters.push_back(std::move(prep));
-  }
-  AmortizedWise amortized;
-  amortized.train(configs, features, rel_times, prep_iters,
-                  {.max_depth = 8});
-
-  ModelBank paper_bank;
-  paper_bank.train(configs, features, rel_times, {.max_depth = 8});
+TEST_F(WiseLifecycle, HorizonSelectionConvergesToPaperHeuristicAtLargeN) {
+  // train_model_bank fits the prep head from the records' prep times.
+  const ModelBank bank = train_model_bank(*records_, {.max_depth = 8});
+  ASSERT_TRUE(bank.has_prep_head());
+  const auto& configs = bank.configs();
 
   // At N = 1e9 the prep term vanishes; when the paper heuristic picks a
   // config whose predicted class is unique-best, both must agree on class.
   int agreements = 0;
   for (const auto& rec : *records_) {
-    const auto am = amortized.choose(rec.features, 1e9);
-    const auto classes = paper_bank.predict_classes(rec.features);
+    const auto classes = bank.predict_classes(rec.features);
+    const std::size_t horizon_sel =
+        select_config(configs, classes, {},
+                      bank.predict_prep_classes(rec.features), 1e9);
     const std::size_t sel = select_best_config(configs, classes);
-    agreements += (am.speed_class == classes[sel]);
+    agreements += (classes[horizon_sel] == classes[sel]);
   }
   EXPECT_GE(agreements, static_cast<int>(records_->size() * 0.9));
 }

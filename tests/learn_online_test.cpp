@@ -9,9 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,11 +38,14 @@ using wise::testing::random_csr;
 /// Bank over the full registry with constant per-config relative times:
 /// `winner` trains at `winner_rel`, everything else at `other_rel`. Each
 /// tree is a single leaf, so predictions are the same for any feature
-/// vector — the drift/rollback choreography becomes deterministic.
-ModelBank make_bank(std::size_t winner, double winner_rel, double other_rel) {
+/// vector — the drift/rollback choreography becomes deterministic. With
+/// `prep_head` the bank also carries a constant prep head.
+ModelBank make_bank(std::size_t winner, double winner_rel, double other_rel,
+                    bool prep_head = false) {
   const auto configs = all_method_configs();
   std::vector<std::vector<double>> features;
   std::vector<std::vector<double>> rel_times;
+  std::vector<std::vector<double>> prep_iters;
   Xoshiro256 rng(7);
   for (int i = 0; i < 12; ++i) {
     std::vector<double> f(feature_count());
@@ -49,10 +54,34 @@ ModelBank make_bank(std::size_t winner, double winner_rel, double other_rel) {
     std::vector<double> rel(configs.size(), other_rel);
     rel[winner] = winner_rel;
     rel_times.push_back(std::move(rel));
+    std::vector<double> prep(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      prep[c] = 4.0 * static_cast<double>(c % 7);
+    }
+    prep_iters.push_back(std::move(prep));
   }
   ModelBank bank;
   bank.train(configs, features, rel_times, {.max_depth = 3});
+  if (prep_head) bank.train_prep(features, prep_iters, {.max_depth = 3});
   return bank;
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The prep section of `bank`'s saved models.txt: from "prep" to the end.
+std::string saved_prep_section(const ModelBank& bank, const std::string& tag) {
+  const fs::path dir = fs::temp_directory_path() / ("wise_online_bank_" + tag);
+  fs::remove_all(dir);
+  bank.save(dir.string());
+  const std::string text = slurp(dir / "models.txt");
+  fs::remove_all(dir);
+  const auto at = text.find("\nprep ");
+  return at == std::string::npos ? std::string() : text.substr(at);
 }
 
 std::size_t first_config_of_kind(MethodKind kind) {
@@ -184,6 +213,45 @@ TEST(OnlineLearner, DriftTriggersValidatedRetrainAndSwap) {
   }
   learner.stop();
   EXPECT_EQ(learner.stats().rollbacks, 0u);
+  fs::remove(learner.options().log_path);
+}
+
+TEST(OnlineLearner, APublishKeepsThePrepSectionByteIdentical) {
+  // Samples label only the speed head: a refit candidate carries the live
+  // prep head over unchanged, byte for byte on save.
+  const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
+  auto live =
+      std::make_shared<const Wise>(make_bank(winner, 0.5, 1.0, true));
+  ASSERT_TRUE(live->bank().has_prep_head());
+
+  OnlineLearner learner(fast_opts("prep_section.wal"));
+  std::mutex pub_mutex;
+  std::shared_ptr<const Wise> published;
+  learner.bind(
+      [&](std::shared_ptr<const Wise> w) {
+        std::lock_guard<std::mutex> g(pub_mutex);
+        published = std::move(w);
+        return std::uint64_t{2};
+      },
+      live, 1);
+  learner.start();
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    learner.observe(synthetic_sample(winner, 1, 6, 1, i));
+  }
+  ASSERT_TRUE(wait_until([&] { return learner.stats().swaps >= 1; }));
+  learner.stop();
+
+  std::lock_guard<std::mutex> g(pub_mutex);
+  ASSERT_NE(published, nullptr);
+  EXPECT_TRUE(published->bank().has_prep_head());
+  const std::string live_prep = saved_prep_section(live->bank(), "live");
+  EXPECT_FALSE(live_prep.empty());
+  EXPECT_EQ(saved_prep_section(published->bank(), "candidate"), live_prep);
+  EXPECT_NE(published->bank().trees()[winner].predict(
+                synthetic_sample(winner, 2, 0, 0, 999).features),
+            live->bank().trees()[winner].predict(
+                synthetic_sample(winner, 2, 0, 0, 999).features))
+      << "the speed head was refit";
   fs::remove(learner.options().log_path);
 }
 

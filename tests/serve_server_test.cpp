@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "test_util.hpp"
 #include "util/fault.hpp"
 #include "util/prng.hpp"
-#include "wise/amortized.hpp"
 #include "wise/model_bank.hpp"
 
 namespace wise::serve {
@@ -33,11 +33,15 @@ using wise::testing::random_csr;
 /// best class and everything else is neutral. Labels are constant per
 /// configuration, so each tree is a single leaf and predicts the same class
 /// for any real feature vector — making the server's selection fully
-/// deterministic in these tests.
-ModelBank make_constant_bank(std::size_t winner) {
+/// deterministic in these tests. With `winner_prep` the bank also carries
+/// a constant prep head: `winner` costs that many CSR iterations to
+/// prepare, everything else nothing.
+ModelBank make_constant_bank(std::size_t winner,
+                             std::optional<double> winner_prep = {}) {
   const auto configs = all_method_configs();
   std::vector<std::vector<double>> features;
   std::vector<std::vector<double>> rel_times;
+  std::vector<std::vector<double>> prep_iters;
   Xoshiro256 rng(99);
   for (int i = 0; i < 12; ++i) {
     std::vector<double> f(feature_count());
@@ -46,9 +50,13 @@ ModelBank make_constant_bank(std::size_t winner) {
     std::vector<double> rel(configs.size(), 1.0);
     rel[winner] = 0.5;  // class 6: predicted fastest
     rel_times.push_back(std::move(rel));
+    std::vector<double> prep(configs.size(), 0.0);
+    prep[winner] = winner_prep.value_or(0.0);
+    prep_iters.push_back(std::move(prep));
   }
   ModelBank bank;
   bank.train(configs, features, rel_times, {.max_depth = 3});
+  if (winner_prep) bank.train_prep(features, prep_iters, {.max_depth = 3});
   return bank;
 }
 
@@ -616,31 +624,6 @@ Request solve_request(std::shared_ptr<const CsrMatrix> m, std::string id,
   return req;
 }
 
-/// Dual-model selector trained to prefer plain CSR — zero prep cost, best
-/// speed class — for any N.
-std::shared_ptr<const AmortizedWise> csr_preferring_amortized() {
-  const auto configs = all_method_configs();
-  const std::size_t winner = first_config_of_kind(MethodKind::kCsr);
-  std::vector<std::vector<double>> features;
-  std::vector<std::vector<double>> rel_times;
-  std::vector<std::vector<double>> prep_iters;
-  Xoshiro256 rng(123);
-  for (int i = 0; i < 12; ++i) {
-    std::vector<double> f(feature_count());
-    for (auto& v : f) v = rng.next_double() * 100.0;
-    features.push_back(std::move(f));
-    std::vector<double> rel(configs.size(), 1.0);
-    rel[winner] = 0.5;
-    rel_times.push_back(std::move(rel));
-    std::vector<double> prep(configs.size(), 10.0);
-    prep[winner] = 0.0;
-    prep_iters.push_back(std::move(prep));
-  }
-  auto amortized = std::make_shared<AmortizedWise>();
-  amortized->train(configs, features, rel_times, prep_iters, {.max_depth = 3});
-  return amortized;
-}
-
 TEST(SolveSession, ColdThenWarmAmortizesThePrepareAcrossFourShards) {
   // The ISSUE's session contract: a SOLVE session through a sharded server
   // prepares the layout exactly once; the warm session reuses it (that
@@ -718,21 +701,34 @@ TEST(SolveSession, UnknownSolverIsRejectedBeforeAnyWork) {
   EXPECT_EQ(cs.choice_entries, 0u);
 }
 
-TEST(SolveSession, AmortizedSelectorDrivesTheColdChoice) {
-  // With a dual-model selector installed, a cold SOLVE session picks its
-  // configuration through AmortizedWise::choose(features, N) instead of the
-  // SpMV bank (whose constant-bank winner is kSellpack). With the
-  // amortized model preferring plain CSR, the session must serve CSR.
-  Server server(make_predictor(MethodKind::kSellpack), {.workers = 2});
-  server.set_amortized(csr_preferring_amortized());
+TEST(SolveSession, TheHorizonDrivesTheColdChoiceThroughTheBank) {
+  // A cold SOLVE session prepares through the SpMV bank with its max
+  // iteration count as the horizon. This bank's speed head prefers
+  // SELLPACK, and its prep head prices SELLPACK at 100 CSR iterations
+  // (P5): over 64 SpMVs that costs 64*0.5 + 80 = 112 against CSR's
+  // 64*1.0 + 0.5, so the session must serve CSR.
+  Server server(std::make_shared<const Wise>(make_constant_bank(
+                    first_config_of_kind(MethodKind::kSellpack), 100.0)),
+                {.workers = 2});
   const auto m = shared_spd(12, 12);
 
-  const Response rsp = server.call(solve_request(m, "amortized", 64));
+  const Response rsp = server.call(solve_request(m, "horizon", 64));
   ASSERT_TRUE(rsp.ok) << rsp.error;
   EXPECT_EQ(rsp.choice.config.kind, MethodKind::kCsr)
       << "served " << rsp.config_name;
+  EXPECT_EQ(rsp.choice.horizon, 64.0);
 
-  // A plain RUN of a different matrix still selects through the SpMV bank.
+  // The session's choice answers "best for 64 SpMVs", not PREDICT: it
+  // stays out of the choice tier, and PREDICT re-infers SELLPACK.
+  Request predict;
+  predict.kind = RequestKind::kPredict;
+  predict.matrix = m;
+  const Response p = server.call(predict);
+  ASSERT_TRUE(p.ok) << p.error;
+  EXPECT_FALSE(p.choice_cache_hit);
+  EXPECT_EQ(p.choice.config.kind, MethodKind::kSellpack);
+
+  // A plain RUN of a different matrix chooses for the unbounded horizon.
   const auto m2 = shared_matrix(96, 77);
   const Response run = server.call(run_request(m2, "run"));
   ASSERT_TRUE(run.ok) << run.error;
@@ -813,14 +809,13 @@ TEST(Spmm, ServedFromItsOwnBankBitIdenticalToTheReference) {
 // ---------------------------------------------------- the bank slot ----
 
 TEST(BankSlot, InstallsRaceTrafficWithoutVersioningAndPublishInvalidates) {
-  // All three models share one epoch-protected slot. Installing (and
-  // uninstalling) the SpMM bank or the amortized selector while clients
-  // send SPMM, SOLVE and RUN must fail no request and leave the SpMV bank's
-  // version alone; only publish_bank bumps it and clears both cache tiers.
+  // Both banks share one epoch-protected slot. Installing (and
+  // uninstalling) the SpMM bank while clients send SPMM, SOLVE and RUN
+  // must fail no request and leave the SpMV bank's version alone; only
+  // publish_bank bumps it and clears both cache tiers.
   Server server(make_predictor(MethodKind::kSellpack),
                 {.workers = 4, .queue_capacity = 0});
   const auto spmm_bank = tiny_spmm_bank();
-  const auto amortized = csr_preferring_amortized();
   const auto square = shared_spd(10, 10);
   const auto run_m = shared_matrix(96, 31);
 
@@ -828,7 +823,6 @@ TEST(BankSlot, InstallsRaceTrafficWithoutVersioningAndPublishInvalidates) {
   std::thread installer([&] {
     for (int i = 0; !stop.load(); ++i) {
       server.set_spmm_bank(i % 2 == 0 ? spmm_bank : nullptr);
-      server.set_amortized(i % 3 == 0 ? amortized : nullptr);
     }
   });
   std::vector<std::thread> clients;
@@ -852,7 +846,7 @@ TEST(BankSlot, InstallsRaceTrafficWithoutVersioningAndPublishInvalidates) {
 
   EXPECT_EQ(server.stats().failed, 0u);
   EXPECT_EQ(server.bank_version(), 1u)
-      << "installing an SpMM bank or amortized selector is unversioned";
+      << "installing an SpMM bank is unversioned";
   const CacheStats warm = server.cache_stats();
   EXPECT_GT(warm.prepared_entries, 0u)
       << "installs must not clear the cache tiers";

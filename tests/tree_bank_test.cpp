@@ -1,8 +1,8 @@
 // Tests for TreeBank<Config> (wise/tree_bank.hpp): one typed suite runs
 // every bank behaviour over both instances — the SpMV ModelBank and the
 // SpMM SpmmBank — followed by the malformed-bank fixture corpus under
-// tests/data/malformed_banks/ and the feature-width check the SpMM and
-// amortized choose paths inherit.
+// tests/data/malformed_banks/, the SpMV bank's optional prep head
+// (models.txt v4), and the feature-width check every head inherits.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,7 +18,6 @@
 #include "spmm/model.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
-#include "wise/amortized.hpp"
 #include "wise/model_bank.hpp"
 #include "wise/selector.hpp"
 
@@ -217,9 +216,9 @@ TYPED_TEST(TreeBankTest, ExtendedKeepsTheBaseTreesBytes) {
                std::invalid_argument);
 }
 
-TEST(TreeBank, ShortFeatureSpanIsRejectedBySpmmAndAmortizedChoose) {
+TEST(TreeBank, ShortFeatureSpanIsRejectedBySpmmChooseAndThePrepHead) {
   // A 66-wide span would read past its end in a per-tree walk; every
-  // bank-backed choose rejects it through the bank's width check.
+  // bank-backed choose and both heads reject it through the width check.
   const auto spmm_configs = spmm::spmm_method_configs();
   const TrainingSet s = training_set(spmm_configs.size(), 3);
   spmm::SpmmBank spmm_bank;
@@ -229,15 +228,154 @@ TEST(TreeBank, ShortFeatureSpanIsRejectedBySpmmAndAmortizedChoose) {
   const TrainingSet m = training_set(configs.size(), 4);
   std::vector<std::vector<double>> prep(m.rel_times.size(),
                                         std::vector<double>(configs.size(), 2));
-  AmortizedWise amortized;
-  amortized.train(configs, m.features, m.rel_times, prep, {.max_depth = 2});
+  ModelBank bank;
+  bank.train(configs, m.features, m.rel_times, {.max_depth = 2});
+  bank.train_prep(m.features, prep, {.max_depth = 2});
 
   const std::vector<double> shorter(feature_count() - 1, 1.0);
   EXPECT_THROW(spmm::choose(spmm_bank, shorter), std::invalid_argument);
-  EXPECT_THROW(amortized.choose(shorter, 100), std::invalid_argument);
+  EXPECT_THROW(bank.predict_prep_classes(shorter), std::invalid_argument);
   const std::vector<double> exact(feature_count(), 1.0);
   EXPECT_NO_THROW(spmm::choose(spmm_bank, exact));
-  EXPECT_NO_THROW(amortized.choose(exact, 100));
+  EXPECT_NO_THROW(bank.predict_prep_classes(exact));
+}
+
+// ------------------------------------------------ the SpMV prep head ----
+
+class PrepHeadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    configs_ = all_method_configs();
+    data_ = training_set(configs_.size(), 21);
+    for (const auto& row : data_.features) {
+      std::vector<double> cost(configs_.size());
+      for (std::size_t c = 0; c < configs_.size(); ++c) {
+        cost[c] = row[(c + 7) % row.size()] * static_cast<double>(c % 5);
+      }
+      prep_.push_back(std::move(cost));
+    }
+    bank_.train(configs_, data_.features, data_.rel_times, {.max_depth = 3});
+    bank_.train_prep(data_.features, prep_, {.max_depth = 3});
+    dir_ = fs::temp_directory_path() /
+           ("wise_prep_head_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path file(const char* sub) const { return dir_ / sub / "models.txt"; }
+  std::string save(const ModelBank& bank, const char* sub) const {
+    bank.save((dir_ / sub).string());
+    return slurp(file(sub));
+  }
+
+  std::vector<MethodConfig> configs_;
+  TrainingSet data_;
+  std::vector<std::vector<double>> prep_;
+  ModelBank bank_;
+  fs::path dir_;
+};
+
+TEST_F(PrepHeadTest, V4SaveLoadResaveIsByteIdentical) {
+  ASSERT_TRUE(bank_.has_prep_head());
+  const std::string original = save(bank_, "a");
+  EXPECT_EQ(original.rfind("wise-model-bank v4\n", 0), 0u);
+  EXPECT_NE(original.find("\nprep " + std::to_string(configs_.size()) +
+                          "\n"),
+            std::string::npos);
+
+  const ModelBank loaded = ModelBank::load((dir_ / "a").string());
+  EXPECT_TRUE(loaded.warnings().empty());
+  ASSERT_TRUE(loaded.has_prep_head());
+  for (const auto& x : data_.features) {
+    EXPECT_EQ(loaded.predict_prep_classes(x), bank_.predict_prep_classes(x));
+    EXPECT_EQ(loaded.predict_classes(x), bank_.predict_classes(x));
+  }
+  EXPECT_EQ(save(loaded, "b"), original);
+}
+
+TEST_F(PrepHeadTest, APrepLessBankStillSavesAsV3) {
+  const ModelBank speed_only = ModelBank::assemble(
+      configs_, bank_.trees(), bank_.feature_dim());
+  EXPECT_FALSE(speed_only.has_prep_head());
+  const std::string v3 = save(speed_only, "a");
+  EXPECT_EQ(v3.rfind("wise-model-bank v3\n", 0), 0u);
+  // v4 is v3 plus the prep section.
+  const std::string v4 = save(bank_, "b");
+  EXPECT_EQ(v4.substr(0, v3.size()),
+            "wise-model-bank v4" + v3.substr(v3.find('\n')));
+  EXPECT_EQ(v4.substr(v3.size()).rfind("prep ", 0), 0u);
+}
+
+TEST_F(PrepHeadTest, AssembleCarriesAPrepHeadAndRetrainDropsIt) {
+  const ModelBank copy = ModelBank::assemble(
+      configs_, bank_.trees(), bank_.feature_dim(), bank_.prep_trees());
+  EXPECT_EQ(save(copy, "a"), save(bank_, "b"));
+  EXPECT_THROW(ModelBank::assemble(configs_, bank_.trees(), 0,
+                                   {bank_.prep_trees()[0]}),
+               std::invalid_argument);
+
+  ModelBank retrained = bank_;
+  retrained.train(configs_, data_.features, data_.rel_times);
+  EXPECT_FALSE(retrained.has_prep_head());
+}
+
+TEST_F(PrepHeadTest, ExtendedDropsThePrepHead) {
+  // The new configuration has no prep tree, so the extended bank cannot
+  // weigh conversion cost for every configuration: it has no prep head.
+  const std::vector<MethodConfig> base_configs(configs_.begin(),
+                                               configs_.end() - 1);
+  std::vector<std::vector<double>> base_rel, base_prep, new_rel;
+  for (std::size_t i = 0; i < data_.rel_times.size(); ++i) {
+    base_rel.emplace_back(data_.rel_times[i].begin(),
+                          data_.rel_times[i].end() - 1);
+    base_prep.emplace_back(prep_[i].begin(), prep_[i].end() - 1);
+    new_rel.push_back({data_.rel_times[i].back()});
+  }
+  ModelBank base;
+  base.train(base_configs, data_.features, base_rel, {.max_depth = 3});
+  base.train_prep(data_.features, base_prep, {.max_depth = 3});
+  ModelBank fresh;
+  fresh.train({configs_.back()}, data_.features, new_rel, {.max_depth = 3});
+
+  const ModelBank ext =
+      ModelBank::extended(base, {configs_.back()}, fresh.trees());
+  EXPECT_EQ(ext.configs(), configs_);
+  EXPECT_FALSE(ext.has_prep_head());
+  EXPECT_EQ(save(ext, "a").rfind("wise-model-bank v3\n", 0), 0u);
+}
+
+TEST_F(PrepHeadTest, ADamagedPrepSectionDropsOnlyThePrepHead) {
+  const std::string original = save(bank_, "a");
+  const std::size_t prep_at = original.find("\nprep ");
+  ASSERT_NE(prep_at, std::string::npos);
+
+  std::string flipped = original;
+  flip_checksum(flipped, prep_at + 1);
+  std::string truncated = original.substr(0, original.size() - 10);
+  std::string misnamed = original;
+  misnamed.replace(misnamed.find(configs_[0].name(), prep_at),
+                   configs_[0].name().size(),
+                   std::string(configs_[0].name().size(), 'x'));
+  for (const std::string* text : {&flipped, &truncated, &misnamed}) {
+    spill(file("a"), *text);
+    const ModelBank loaded = ModelBank::load((dir_ / "a").string());
+    EXPECT_EQ(loaded.configs(), configs_);
+    EXPECT_EQ(loaded.trees().size(), configs_.size());
+    EXPECT_FALSE(loaded.has_prep_head());
+    ASSERT_EQ(loaded.warnings().size(), 1u);
+    EXPECT_NE(loaded.warnings()[0].find("prep head dropped"),
+              std::string::npos)
+        << loaded.warnings()[0];
+  }
+}
+
+TEST_F(PrepHeadTest, ABankTypeWithoutAPrepVersionRefusesToSaveOne) {
+  const auto spmm_configs = spmm::spmm_method_configs();
+  const TrainingSet s = training_set(spmm_configs.size(), 3);
+  spmm::SpmmBank spmm_bank;
+  spmm_bank.train(spmm_configs, s.features, s.rel_times, {.max_depth = 2});
+  spmm_bank.train_prep(s.features, s.rel_times, {.max_depth = 2});
+  EXPECT_THROW(spmm_bank.save((dir_ / "spmm").string()), std::logic_error);
 }
 
 TEST(TreeBank, MalformedBankFixturesFailTypedOrLoadWithWarnings) {
@@ -250,7 +388,10 @@ TEST(TreeBank, MalformedBankFixturesFailTypedOrLoadWithWarnings) {
       {"spmv__bad_magic", false},         {"spmv__unknown_version", false},
       {"spmv__zero_count", false},        {"spmv__v3_without_features", false},
       {"spmv__bad_tree_length", false},   {"spmv__truncated_payload", false},
-      {"spmv__checksum_mismatch", true},  {"spmm__bad_magic", false},
+      {"spmv__checksum_mismatch", true},
+      {"spmv__v4_prep_checksum_mismatch", true},
+      {"spmv__v4_prep_count_mismatch", true},
+      {"spmm__bad_magic", false},
       {"spmm__unknown_version", false},   {"spmm__zero_count", false},
       {"spmm__unexpected_features", false}, {"spmm__bad_tree_length", false},
       {"spmm__truncated_payload", false}, {"spmm__checksum_mismatch", true},
@@ -273,6 +414,12 @@ TEST(TreeBank, MalformedBankFixturesFailTypedOrLoadWithWarnings) {
       std::vector<std::string> warnings;
       ASSERT_NO_THROW(warnings = load_warnings()) << c.dir;
       EXPECT_EQ(warnings.size(), 1u) << c.dir;
+      if (std::string(c.dir).find("_prep_") != std::string::npos) {
+        // Both speed trees load; only the prep head is dropped.
+        const ModelBank bank = ModelBank::load(dir);
+        EXPECT_EQ(bank.configs().size(), 2u) << c.dir;
+        EXPECT_FALSE(bank.has_prep_head()) << c.dir;
+      }
       continue;
     }
     try {
