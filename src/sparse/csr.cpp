@@ -8,9 +8,37 @@
 
 #include <omp.h>
 
+#include "sparse/validate_scan.hpp"
 #include "util/error.hpp"
 
 namespace wise {
+
+namespace {
+
+/// True when some row holds a column outside [0, ncols) or columns that do
+/// not strictly increase. A strictly increasing row lies inside
+/// [first, last], so the range test needs only its two ends. Branch-free
+/// within a row; rows split across threads.
+bool any_bad_column(const CsrMatrix& m) {
+  const nnz_t* rp = m.row_ptr().data();
+  const index_t* ci = m.col_idx().data();
+  const index_t ncols = m.ncols();
+  const auto n = static_cast<std::int64_t>(m.nrows());
+  int bad = 0;
+#pragma omp parallel for schedule(static) reduction(| : bad) \
+    if (m.nnz() >= detail::kParallelScanMin)
+  for (std::int64_t i = 0; i < n; ++i) {
+    const nnz_t b = rp[i];
+    const nnz_t e = rp[i + 1];
+    if (e == b) continue;
+    bad |= (ci[b] < 0) | (ci[e - 1] >= ncols);
+#pragma omp simd reduction(| : bad)
+    for (nnz_t k = b + 1; k < e; ++k) bad |= ci[k] <= ci[k - 1];
+  }
+  return bad != 0;
+}
+
+}  // namespace
 
 CsrMatrix::CsrMatrix(index_t nrows, index_t ncols, std::vector<nnz_t> row_ptr,
                      aligned_vector<index_t> col_idx,
@@ -150,6 +178,10 @@ void CsrMatrix::validate() const {
     throw Error(ErrorCategory::kValidation,
                 "CsrMatrix: array length mismatch");
   }
+  // Fast path: one parallel pass says whether anything is bad. Only then
+  // does the serial scan below run, to name the first offending row or
+  // nonzero with the message it has always given.
+  if (!any_bad_column(*this) && !detail::any_non_finite(vals_)) return;
   for (index_t i = 0; i < nrows_; ++i) {
     const auto cols = row_cols(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -30,10 +31,6 @@ DiaAnalysis DiaMatrix::analyze(const CsrMatrix& m) {
     return a;
   }
 
-  // One bit per possible offset, shifted by nrows-1 to make it an index.
-  std::vector<char> seen(
-      static_cast<std::size_t>(m.nrows()) + static_cast<std::size_t>(m.ncols()),
-      0);
   const auto vals = m.vals();
   for (std::size_t k = 0; k < vals.size(); ++k) {
     if (vals[k] == 0.0) {
@@ -41,6 +38,10 @@ DiaAnalysis DiaMatrix::analyze(const CsrMatrix& m) {
       return a;
     }
   }
+  // One bit per possible offset, shifted by nrows-1 to make it an index.
+  std::vector<char> seen(
+      static_cast<std::size_t>(m.nrows()) + static_cast<std::size_t>(m.ncols()),
+      0);
   for (index_t i = 0; i < m.nrows(); ++i) {
     for (const index_t c : m.row_cols(i)) {
       seen[static_cast<std::size_t>(
@@ -51,15 +52,17 @@ DiaAnalysis DiaMatrix::analyze(const CsrMatrix& m) {
   nnz_t in_band = 0;
   for (std::size_t s = 0; s < seen.size(); ++s) {
     if (!seen[s]) continue;
-    ++a.ndiags;
-    in_band += diagonal_length(
-        m.nrows(), m.ncols(),
-        static_cast<std::int64_t>(s) - (m.nrows() - 1));
+    const std::int64_t off = static_cast<std::int64_t>(s) - (m.nrows() - 1);
+    // A scattered matrix touches O(nrows) diagonals; keep only as many
+    // offsets as an accepted matrix can have.
+    if (++a.ndiags <= kDiaMaxDiagonals) a.offsets.push_back(off);
+    in_band += diagonal_length(m.nrows(), m.ncols(), off);
   }
   a.fill = static_cast<double>(m.nnz()) / static_cast<double>(in_band);
 
   if (a.ndiags > kDiaMaxDiagonals) {
     a.reason = "too many populated diagonals";
+    a.offsets.clear();
     return a;
   }
   if (a.fill < kDiaMinFillRatio) {
@@ -71,7 +74,7 @@ DiaAnalysis DiaMatrix::analyze(const CsrMatrix& m) {
 }
 
 DiaMatrix DiaMatrix::from_csr(const CsrMatrix& m) {
-  const DiaAnalysis a = analyze(m);
+  DiaAnalysis a = analyze(m);
   if (!a.accepted) {
     throw std::invalid_argument(
         std::string("DiaMatrix: ") + a.reason + " (diagonals " +
@@ -82,21 +85,7 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& m) {
   d.nrows_ = m.nrows();
   d.ncols_ = m.ncols();
   d.nnz_ = m.nnz();
-
-  std::vector<char> seen(
-      static_cast<std::size_t>(m.nrows()) + static_cast<std::size_t>(m.ncols()),
-      0);
-  for (index_t i = 0; i < m.nrows(); ++i) {
-    for (const index_t c : m.row_cols(i)) {
-      seen[static_cast<std::size_t>(
-          static_cast<std::int64_t>(c) - i + m.nrows() - 1)] = 1;
-    }
-  }
-  for (std::size_t s = 0; s < seen.size(); ++s) {
-    if (seen[s]) {
-      d.offsets_.push_back(static_cast<std::int64_t>(s) - (m.nrows() - 1));
-    }
-  }
+  d.offsets_ = std::move(a.offsets);
 
   const std::size_t n = static_cast<std::size_t>(d.nrows_);
   d.vals_.assign(d.offsets_.size() * n, 0.0);

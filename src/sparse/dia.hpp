@@ -49,6 +49,10 @@ inline constexpr double kDiaMinFillRatio = 0.25;
 /// the selection mask can see *why* a matrix was rejected.
 struct DiaAnalysis {
   index_t ndiags = 0;       ///< distinct populated diagonals
+  /// The populated offsets (col - row), ascending, which from_csr() takes
+  /// as its lanes. Empty when rejected for explicit zeros or too many
+  /// diagonals.
+  std::vector<std::int64_t> offsets;
   double fill = 0.0;        ///< nnz / in-band lane cells (1.0 = no fill)
   bool accepted = false;
   const char* reason = "";  ///< empty when accepted

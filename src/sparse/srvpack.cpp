@@ -1,11 +1,11 @@
 #include "sparse/srvpack.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "sparse/transforms.hpp"
+#include "sparse/validate_scan.hpp"
 #include "util/error.hpp"
 
 namespace wise {
@@ -229,12 +229,10 @@ void SrvPackMatrix::validate() const {
     const index_t lo = seg.col_begin;
     const index_t hi = seg.col_end > seg.col_begin ? seg.col_end
                                                    : seg.col_begin + 1;
-    for (index_t c : seg.col_ids) {
-      if (c < lo || c >= hi) bad(where + "column id outside segment window");
+    if (detail::any_outside(seg.col_ids, lo, hi)) {
+      bad(where + "column id outside segment window");
     }
-    for (value_t v : seg.vals) {
-      if (!std::isfinite(v)) bad(where + "non-finite value");
-    }
+    if (detail::any_non_finite(seg.vals)) bad(where + "non-finite value");
   }
   if (expect_begin != ncols_) bad("segments do not cover all columns");
 }

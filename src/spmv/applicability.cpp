@@ -1,5 +1,6 @@
 #include "spmv/applicability.hpp"
 
+#include <array>
 #include <optional>
 
 #include "sparse/dia.hpp"
@@ -21,21 +22,14 @@ bool config_applicable(const MethodConfig& cfg, const CsrMatrix& m) {
 std::vector<char> applicability_mask(std::span<const MethodConfig> configs,
                                      const CsrMatrix& m) {
   std::vector<char> mask(configs.size(), 1);
-  std::optional<bool> ell_ok;
-  std::optional<bool> dia_ok;
+  // One verdict per MethodKind (kDia is the last enumerator): the predicate
+  // depends only on the kind, so each analysis runs at most once.
+  constexpr auto kKinds = static_cast<std::size_t>(MethodKind::kDia) + 1;
+  std::array<std::optional<bool>, kKinds> kind_ok;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    switch (configs[i].kind) {
-      case MethodKind::kEll:
-        if (!ell_ok) ell_ok = EllMatrix::accepts(m);
-        mask[i] = *ell_ok ? 1 : 0;
-        break;
-      case MethodKind::kDia:
-        if (!dia_ok) dia_ok = DiaMatrix::accepts(m);
-        mask[i] = *dia_ok ? 1 : 0;
-        break;
-      default:
-        break;
-    }
+    auto& ok = kind_ok[static_cast<std::size_t>(configs[i].kind)];
+    if (!ok) ok = config_applicable(configs[i], m);
+    mask[i] = *ok ? 1 : 0;
   }
   return mask;
 }

@@ -28,6 +28,29 @@ void demote(WiseChoice& choice, const ModelBank& bank, const char* stg,
   obs::MetricsRegistry::global().add("wise.fallback.count");
 }
 
+/// select_config over the configurations applicable to `m`, running a
+/// kind's applicability predicate only when that kind wins: a rejected
+/// winner masks its whole kind and the selection reruns, at most once per
+/// kind. Equals select_config over applicability_mask(configs, m) — an
+/// applicable unmasked minimum is also the masked minimum, with the same
+/// cost and selection_rank() tie-break.
+std::size_t select_applicable(const std::vector<MethodConfig>& configs,
+                              const std::vector<int>& classes,
+                              const std::vector<int>& prep_classes,
+                              double horizon, const CsrMatrix& m) {
+  std::vector<char> applicable;  // empty: nothing rejected yet
+  for (;;) {
+    const std::size_t best =
+        select_config(configs, classes, applicable, prep_classes, horizon);
+    if (config_applicable(configs[best], m)) return best;
+    const MethodKind kind = configs[best].kind;
+    applicable.resize(configs.size(), 1);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      if (configs[i].kind == kind) applicable[i] = 0;
+    }
+  }
+}
+
 }  // namespace
 
 MethodConfig best_csr_config(const ModelBank& bank) {
@@ -98,10 +121,8 @@ WiseChoice Wise::choose(const CsrMatrix& m, double horizon) const {
     if (!std::isinf(horizon) && bank_.has_prep_head()) {
       prep_classes = bank_.predict_prep_classes(features.values);
     }
-    const std::vector<char> applicable =
-        applicability_mask(bank_.configs(), m);
-    const std::size_t best = select_config(bank_.configs(), classes,
-                                           applicable, prep_classes, horizon);
+    const std::size_t best =
+        select_applicable(bank_.configs(), classes, prep_classes, horizon, m);
     choice.config = bank_.configs()[best];
     choice.predicted_class = classes[best];
     if (!prep_classes.empty()) choice.horizon = horizon;

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "gen/generators.hpp"
 #include "sparse/dia.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/hyb.hpp"
@@ -14,6 +18,8 @@
 #include "spmv/bsr.hpp"
 #include "spmv/executor.hpp"
 #include "util/error.hpp"
+#include "util/prng.hpp"
+#include "wise/pipeline.hpp"
 #include "wise/selector.hpp"
 #include "test_util.hpp"
 
@@ -346,6 +352,135 @@ TEST(Applicability, ThrowsWhenNothingApplicable) {
   const std::vector<char> mask(configs.size(), 0);
   EXPECT_THROW(select_best_config(configs, classes, mask),
                std::invalid_argument);
+}
+
+// ------------------------------------------ lazy selection in choose() ----
+
+/// A bank over the extended registry whose trees are single leaves: config
+/// i predicts speed class classes[i] and prep class prep[i] for any
+/// feature vector, so the test controls every prediction.
+ModelBank make_leaf_bank(const std::vector<MethodConfig>& configs,
+                         const std::vector<int>& classes,
+                         const std::vector<int>& prep) {
+  std::vector<std::vector<double>> features;
+  std::vector<std::vector<double>> rel_times;
+  std::vector<std::vector<double>> prep_iters;
+  Xoshiro256 rng(7);
+  for (int s = 0; s < 4; ++s) {
+    std::vector<double> f(feature_count());
+    for (auto& v : f) v = rng.next_double();
+    features.push_back(std::move(f));
+    std::vector<double> rel, iters;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      rel.push_back(class_midpoint_rel(classes[i]));
+      iters.push_back(prep_class_midpoint(prep[i]));
+    }
+    rel_times.push_back(std::move(rel));
+    prep_iters.push_back(std::move(iters));
+  }
+  ModelBank bank;
+  bank.train(configs, features, rel_times, {.max_depth = 1});
+  bank.train_prep(features, prep_iters, {.max_depth = 1});
+  return bank;
+}
+
+/// Diagonal plus one dense row 0: ELL pads every row to the hub's length
+/// and DIA's diagonals mostly fill, so both reject it.
+CsrMatrix hub_csr(index_t n) {
+  CooMatrix coo(n, n);
+  for (index_t i = 0; i < n; ++i) coo.add(i, i, 1.0);
+  for (index_t j = 1; j < n; ++j) coo.add(0, j, 2.0);
+  return CsrMatrix::from_coo(coo);
+}
+
+/// One dense row: ELL accepts it; its 300 diagonals exceed DIA's cap.
+CsrMatrix dense_row_csr(index_t ncols) {
+  CooMatrix coo(1, ncols);
+  for (index_t j = 0; j < ncols; ++j) coo.add(0, j, 1.0 + j);
+  return CsrMatrix::from_coo(coo);
+}
+
+std::size_t first_of_kind(const std::vector<MethodConfig>& configs,
+                          MethodKind kind) {
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (configs[i].kind == kind) return i;
+  }
+  ADD_FAILURE() << "registry lacks " << method_kind_name(kind);
+  return 0;
+}
+
+TEST(LazySelection, ChoosePicksWhatTheEagerMaskPicks) {
+  const auto configs = extended_method_configs();
+  const std::vector<std::pair<const char*, CsrMatrix>> matrices = {
+      {"rmat", CsrMatrix::from_coo(generate_rmat({.n = 1 << 10}, 3))},
+      {"banded", banded_csr(512, 3, 4)},
+      {"stencil", CsrMatrix::from_coo(generate_stencil2d(24, 24))},
+      {"empty", CsrMatrix::from_coo(CooMatrix(64, 64))},
+      {"hub", hub_csr(200)},
+      {"dense row", dense_row_csr(300)},
+  };
+  // Rejection must actually happen: RMAT and the dense row fail DIA, the
+  // hub fails ELL.
+  ASSERT_FALSE(DiaMatrix::accepts(matrices[0].second));
+  ASSERT_FALSE(EllMatrix::accepts(matrices[4].second));
+  ASSERT_FALSE(DiaMatrix::accepts(matrices[5].second));
+
+  const std::size_t ell = first_of_kind(configs, MethodKind::kEll);
+  const std::size_t dia = first_of_kind(configs, MethodKind::kDia);
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<int> classes(configs.size());
+    std::vector<int> prep(configs.size());
+    for (auto& c : classes) c = static_cast<int>(rng.next_below(6));
+    for (auto& p : prep) {
+      p = static_cast<int>(rng.next_below(kNumPrepClasses));
+    }
+    // Send the unmasked winner to DIA, to ELL, or to both (a tie the
+    // selection_rank() order breaks), so the lazy path has work to do.
+    if (trial % 3 != 1) classes[dia] = 6;
+    if (trial % 3 != 0) classes[ell] = 6;
+    const Wise wise(make_leaf_bank(configs, classes, prep));
+    for (const auto& [name, m] : matrices) {
+      const std::vector<char> mask = applicability_mask(configs, m);
+      for (const double horizon : {kUnboundedHorizon, 20.0}) {
+        SCOPED_TRACE(std::string(name) + " at horizon " +
+                     std::to_string(horizon));
+        const WiseChoice choice = wise.choose(m, horizon);
+        EXPECT_FALSE(choice.fell_back()) << choice.fallback_reason;
+        EXPECT_EQ(choice.config,
+                  configs[select_config(configs, classes, mask, prep,
+                                        horizon)]);
+      }
+    }
+  }
+}
+
+TEST(LazySelection, RejectedWinnerFallsThroughToTheNextConfig) {
+  const auto configs = extended_method_configs();
+  const std::size_t runner_up = first_of_kind(configs, MethodKind::kSellCR);
+  for (const MethodKind kind : {MethodKind::kDia, MethodKind::kEll}) {
+    SCOPED_TRACE(method_kind_name(kind));
+    std::vector<int> classes(configs.size(), 1);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      if (configs[i].kind == kind) classes[i] = 6;
+    }
+    classes[runner_up] = 5;
+    const Wise wise(make_leaf_bank(configs, classes,
+                                   std::vector<int>(configs.size(), 0)));
+    // DIA-best on a scattered RMAT, ELL-best on a hub matrix: both reject.
+    const CsrMatrix m =
+        kind == MethodKind::kDia
+            ? CsrMatrix::from_coo(generate_rmat({.n = 1 << 10}, 5))
+            : hub_csr(300);
+    ASSERT_FALSE(config_applicable(configs[first_of_kind(configs, kind)], m));
+    for (const double horizon : {kUnboundedHorizon, 20.0}) {
+      const WiseChoice choice = wise.choose(m, horizon);
+      EXPECT_EQ(choice.config, configs[runner_up]);
+      EXPECT_EQ(choice.predicted_class, 5);
+      EXPECT_EQ(choice.fallback_reason, "");
+    }
+  }
 }
 
 }  // namespace

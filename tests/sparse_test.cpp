@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -136,6 +141,104 @@ TEST(Csr, ValidateCatchesCorruptMatrices) {
       CsrMatrix(1, 2, {0, 1}, {0},
                 {std::numeric_limits<value_t>::infinity()}),
       Error);
+}
+
+/// A banded CSR with nine nonzeros per row, large enough (36864 nonzeros)
+/// for validate()'s parallel fast pass; copied and corrupted by the
+/// error-identity tests below.
+struct RawCsr {
+  static constexpr index_t kN = 4096;
+  static constexpr index_t kPerRow = 9;
+  std::vector<nnz_t> row_ptr;
+  aligned_vector<index_t> cols;
+  aligned_vector<value_t> vals;
+
+  RawCsr() {
+    row_ptr.push_back(0);
+    for (index_t i = 0; i < kN; ++i) {
+      const index_t c0 = std::min(i, kN - kPerRow);
+      for (index_t j = 0; j < kPerRow; ++j) {
+        cols.push_back(c0 + j);
+        vals.push_back(1.0 + 0.001 * static_cast<double>(j));
+      }
+      row_ptr.push_back(static_cast<nnz_t>(cols.size()));
+    }
+  }
+  /// Position of the k-th nonzero of row i.
+  std::size_t at(index_t i, index_t k) const {
+    return static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)] + k);
+  }
+  /// The message of the error that construction throws, or "" if none.
+  std::string error() const {
+    try {
+      CsrMatrix(kN, kN, row_ptr, cols, vals);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kValidation);
+      return e.message();
+    }
+    return "";
+  }
+};
+
+TEST(Csr, ValidateFastPathKeepsSerialErrorMessages) {
+  const index_t last = RawCsr::kN - 1;
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  ASSERT_EQ(RawCsr().error(), "");
+  for (const index_t row : {index_t{0}, RawCsr::kN / 2, last}) {
+    SCOPED_TRACE("defect in row " + std::to_string(row));
+    const std::string in_row = " in row " + std::to_string(row);
+    struct Defect {
+      const char* name;
+      std::function<void(RawCsr&)> apply;
+      std::string message;
+    };
+    const std::size_t mid = RawCsr().at(row, 4);
+    const std::vector<Defect> defects = {
+        {"column < 0", [&](RawCsr& r) { r.cols[r.at(row, 0)] = -1; },
+         "CsrMatrix: column index out of range" + in_row},
+        {"column >= ncols",
+         [&](RawCsr& r) { r.cols[r.at(row, 8)] = RawCsr::kN; },
+         "CsrMatrix: column index out of range" + in_row},
+        {"duplicate column",
+         [&](RawCsr& r) { r.cols[r.at(row, 4)] = r.cols[r.at(row, 3)]; },
+         "CsrMatrix: columns not strictly sorted" + in_row},
+        {"descending column",
+         [&](RawCsr& r) {
+           std::swap(r.cols[r.at(row, 3)], r.cols[r.at(row, 4)]);
+         },
+         "CsrMatrix: columns not strictly sorted" + in_row},
+        {"NaN", [&](RawCsr& r) { r.vals[mid] = nan; },
+         "CsrMatrix: non-finite value at nonzero " + std::to_string(mid)},
+        {"+Inf", [&](RawCsr& r) { r.vals[mid] = inf; },
+         "CsrMatrix: non-finite value at nonzero " + std::to_string(mid)},
+    };
+    for (const Defect& d : defects) {
+      RawCsr r;
+      d.apply(r);
+      EXPECT_EQ(r.error(), d.message) << d.name;
+    }
+  }
+}
+
+TEST(Csr, ValidateReportsTheFirstOfTwoDefects) {
+  // Same kind: the lower row (or nonzero) is named.
+  RawCsr sorted;
+  std::swap(sorted.cols[sorted.at(3000, 1)], sorted.cols[sorted.at(3000, 2)]);
+  std::swap(sorted.cols[sorted.at(17, 5)], sorted.cols[sorted.at(17, 6)]);
+  EXPECT_EQ(sorted.error(), "CsrMatrix: columns not strictly sorted in row 17");
+  RawCsr finite;
+  finite.vals[finite.at(2000, 0)] = std::numeric_limits<value_t>::infinity();
+  finite.vals[finite.at(40, 2)] = std::numeric_limits<value_t>::quiet_NaN();
+  EXPECT_EQ(finite.error(), "CsrMatrix: non-finite value at nonzero " +
+                                std::to_string(finite.at(40, 2)));
+  // Mixed: the column scan precedes the value scan, so a bad column in the
+  // last row is reported before a NaN in the first.
+  RawCsr mixed;
+  mixed.vals[0] = std::numeric_limits<value_t>::quiet_NaN();
+  mixed.cols[mixed.at(RawCsr::kN - 1, 8)] = RawCsr::kN + 5;
+  EXPECT_EQ(mixed.error(), "CsrMatrix: column index out of range in row " +
+                               std::to_string(RawCsr::kN - 1));
 }
 
 TEST(Csr, EmptyMatrixIsValid) {

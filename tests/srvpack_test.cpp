@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "sparse/srvpack.hpp"
+#include "sparse/validate_scan.hpp"
 #include "test_util.hpp"
+#include "util/error.hpp"
 
 namespace wise {
 namespace {
@@ -194,6 +200,67 @@ TEST(SrvPack, MemoryBytesIsPositiveAndGrowsWithPadding) {
   EXPECT_GT(tight.memory_bytes(), 0u);
   EXPECT_GE(padded.stored_entries(), tight.stored_entries());
 }
+
+/// A LAV layout (two column segments) whose segment 1 the corruption tests
+/// write to. The layout itself is not const, so casting away the
+/// accessor's const is well defined.
+class SrvPackCorruption : public ::testing::TestWithParam<index_t> {
+ protected:
+  void SetUp() override {
+    const index_t n = GetParam();
+    layout_ = SrvPackMatrix::build(
+        random_csr(n, n, 16.0, 41),
+        {.c = 8, .sigma = kSigmaAll, .cfs = true, .segment_fractions = {0.7}});
+    ASSERT_EQ(layout_.segments().size(), 2u);
+    ASSERT_NO_THROW(layout_.validate());
+    if (n >= 8000) {
+      ASSERT_GE(static_cast<std::int64_t>(segment1().col_ids.size()),
+                detail::kParallelScanMin);
+    }
+  }
+  SrvSegment& segment1() {
+    return const_cast<SrvSegment&>(layout_.segments()[1]);
+  }
+  /// The message of the error validate() throws, or "" if none.
+  std::string error() const {
+    try {
+      layout_.validate();
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kValidation);
+      return e.message();
+    }
+    return "";
+  }
+  SrvPackMatrix layout_;
+};
+
+constexpr const char* kOutsideWindow =
+    "SrvPackMatrix: segment 1: column id outside segment window";
+
+TEST_P(SrvPackCorruption, ColumnIdOutsideWindowKeepsItsMessage) {
+  SrvSegment& seg = segment1();
+  ASSERT_GT(seg.col_begin, 0);
+  seg.col_ids.back() = seg.col_begin - 1;
+  EXPECT_EQ(error(), kOutsideWindow);
+  seg.col_ids.back() = seg.col_end;
+  EXPECT_EQ(error(), kOutsideWindow);
+}
+
+TEST_P(SrvPackCorruption, NonFiniteValueKeepsItsMessage) {
+  SrvSegment& seg = segment1();
+  seg.vals[seg.vals.size() / 2] = std::numeric_limits<value_t>::quiet_NaN();
+  EXPECT_EQ(error(), "SrvPackMatrix: segment 1: non-finite value");
+  // A bad column id in the same segment is reported first.
+  seg.col_ids.front() = seg.col_end;
+  EXPECT_EQ(error(), kOutsideWindow);
+}
+
+// 64 rows keep every scan on the calling thread; at 8000 rows segment 1
+// holds more than kParallelScanMin slots (SetUp checks), so the scans
+// split across threads (ctest reruns this binary at 1 and 8 OpenMP
+// threads).
+INSTANTIATE_TEST_SUITE_P(Sizes, SrvPackCorruption,
+                         ::testing::Values(index_t{64}, index_t{8000}));
 
 }  // namespace
 }  // namespace wise
