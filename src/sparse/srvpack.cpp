@@ -13,94 +13,105 @@ namespace wise {
 namespace {
 
 /// Builds one column segment [col_begin, col_end) of `src` with the chunked,
-/// slot-major SRVPack layout.
+/// slot-major SRVPack layout. Every stage is one parallel pass: row windows,
+/// row order, chunk lengths (then one serial prefix sum over the chunks),
+/// and a fill in which each chunk's thread writes every slot of the chunk
+/// once, values and padding alike, into planes allocated uninitialized.
 SrvSegment build_segment(const CsrMatrix& src, index_t col_begin,
                          index_t col_end, const SrvBuildOptions& opts) {
   const index_t n = src.nrows();
   const int c = opts.c;
+  const nnz_t* row_ptr = src.row_ptr().data();
 
   SrvSegment seg;
   seg.col_begin = col_begin;
   seg.col_end = col_end;
 
-  // Per-row sub-range of nonzeros falling inside the column window. Rows
-  // are column-sorted, so binary search gives the window in O(log nnz_row).
-  std::vector<nnz_t> lo_off(static_cast<std::size_t>(n));
+  // Per-row sub-range of nonzeros falling inside the column window. A
+  // window spanning the whole matrix is the row itself; a narrower one
+  // (LAV's segments) is found by binary search, since rows are
+  // column-sorted.
+  const bool whole_rows = col_begin == 0 && col_end == src.ncols();
   std::vector<nnz_t> seg_nnz(static_cast<std::size_t>(n));
+  std::vector<nnz_t> lo_off(whole_rows ? 0 : static_cast<std::size_t>(n));
 #pragma omp parallel for schedule(static)
   for (index_t i = 0; i < n; ++i) {
+    const auto r = static_cast<std::size_t>(i);
+    if (whole_rows) {
+      seg_nnz[r] = row_ptr[r + 1] - row_ptr[r];
+      continue;
+    }
     const auto cols = src.row_cols(i);
     const auto lo = std::lower_bound(cols.begin(), cols.end(), col_begin);
     const auto hi = std::lower_bound(lo, cols.end(), col_end);
-    lo_off[static_cast<std::size_t>(i)] =
-        src.row_ptr()[static_cast<std::size_t>(i)] + (lo - cols.begin());
-    seg_nnz[static_cast<std::size_t>(i)] = hi - lo;
+    lo_off[r] = row_ptr[r] + (lo - cols.begin());
+    seg_nnz[r] = hi - lo;
   }
+  const nnz_t* row_lo = whole_rows ? row_ptr : lo_off.data();
 
   // Row ordering: natural, σ-windowed, or full RFS on the *segment* counts.
-  std::vector<index_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  const bool full_sort = opts.sigma == kSigmaAll || opts.sigma >= n;
-  auto by_desc_nnz = [&seg_nnz](index_t a, index_t b) {
-    return seg_nnz[static_cast<std::size_t>(a)] >
-           seg_nnz[static_cast<std::size_t>(b)];
-  };
-  if (full_sort) {
-    std::stable_sort(order.begin(), order.end(), by_desc_nnz);
+  seg.row_order = sigma_sorted_row_order(seg_nnz, opts.sigma);
+  if (opts.sigma >= n) {
     // Empty rows sorted to the tail contribute nothing; drop them so the
     // kernel skips them entirely (y is zero-initialized by the kernel).
-    while (!order.empty() && seg_nnz[static_cast<std::size_t>(order.back())] == 0) {
+    auto& order = seg.row_order;
+    while (!order.empty() &&
+           seg_nnz[static_cast<std::size_t>(order.back())] == 0) {
       order.pop_back();
     }
-  } else if (opts.sigma > 1) {
-    for (index_t begin = 0; begin < n; begin += opts.sigma) {
-      const index_t end = std::min<index_t>(begin + opts.sigma, n);
-      std::stable_sort(order.begin() + begin, order.begin() + end,
-                       by_desc_nnz);
-    }
   }
-  seg.row_order = std::move(order);
+  const auto nrows_seg = static_cast<index_t>(seg.row_order.size());
+  const index_t* order = seg.row_order.data();
 
   // Chunk offsets: each chunk of c rows is as long as its longest row.
-  const auto nrows_seg = static_cast<index_t>(seg.row_order.size());
   const index_t num_chunks = (nrows_seg + c - 1) / c;
   seg.chunk_offset.assign(static_cast<std::size_t>(num_chunks) + 1, 0);
+#pragma omp parallel for schedule(static)
   for (index_t k = 0; k < num_chunks; ++k) {
     nnz_t len = 0;
-    for (int l = 0; l < c; ++l) {
-      const index_t pos = k * c + l;
-      if (pos >= nrows_seg) break;
-      len = std::max(len,
-                     seg_nnz[static_cast<std::size_t>(seg.row_order[pos])]);
+    for (index_t pos = k * c; pos < std::min(k * c + c, nrows_seg); ++pos) {
+      len = std::max(len, seg_nnz[static_cast<std::size_t>(order[pos])]);
     }
-    seg.chunk_offset[static_cast<std::size_t>(k) + 1] =
-        seg.chunk_offset[static_cast<std::size_t>(k)] + len;
+    seg.chunk_offset[static_cast<std::size_t>(k) + 1] = len;
   }
+  std::partial_sum(seg.chunk_offset.begin(), seg.chunk_offset.end(),
+                   seg.chunk_offset.begin());
 
-  // Fill slot-major planes; pad short lanes with (pad_col, 0). The padding
-  // column is the window's first column: after CFS that is the hottest
-  // column, so padded gathers hit cache.
+  // Fill the slot-major planes; short lanes, and the missing lanes of a
+  // partial last chunk, are padded with (pad_col, 0). The padding column is
+  // the window's first column: after CFS that is the hottest column, so
+  // padded gathers hit cache.
   const index_t pad_col = col_begin < src.ncols() ? col_begin : 0;
   const auto total_slots =
       static_cast<std::size_t>(seg.chunk_offset.back()) * c;
-  seg.vals.assign(total_slots, value_t{0});
-  seg.col_ids.assign(total_slots, pad_col);
-
-  const auto* src_cols = src.col_idx().data();
-  const auto* src_vals = src.vals().data();
+  seg.vals.resize(total_slots);
+  seg.col_ids.resize(total_slots);
+  value_t* vals = seg.vals.data();
+  index_t* col_ids = seg.col_ids.data();
+  const nnz_t* offsets = seg.chunk_offset.data();
+  const index_t* src_cols = src.col_idx().data();
+  const value_t* src_vals = src.vals().data();
 #pragma omp parallel for schedule(static)
   for (index_t k = 0; k < num_chunks; ++k) {
-    const nnz_t base = seg.chunk_offset[static_cast<std::size_t>(k)];
+    const nnz_t base = offsets[k];
+    const nnz_t chunk_len = offsets[k + 1] - base;
     for (int l = 0; l < c; ++l) {
       const index_t pos = k * c + l;
-      if (pos >= nrows_seg) break;
-      const index_t row = seg.row_order[static_cast<std::size_t>(pos)];
-      const nnz_t row_lo = lo_off[static_cast<std::size_t>(row)];
-      const nnz_t len = seg_nnz[static_cast<std::size_t>(row)];
-      for (nnz_t j = 0; j < len; ++j) {
-        const auto slot = static_cast<std::size_t>((base + j) * c + l);
-        seg.col_ids[slot] = src_cols[row_lo + j];
-        seg.vals[slot] = src_vals[row_lo + j];
+      nnz_t len = 0;
+      nnz_t lo = 0;
+      if (pos < nrows_seg) {
+        const auto row = static_cast<std::size_t>(order[pos]);
+        len = seg_nnz[row];
+        lo = row_lo[row];
+      }
+      std::size_t slot = static_cast<std::size_t>(base * c + l);
+      for (nnz_t j = 0; j < len; ++j, slot += c) {
+        col_ids[slot] = src_cols[lo + j];
+        vals[slot] = src_vals[lo + j];
+      }
+      for (nnz_t j = len; j < chunk_len; ++j, slot += c) {
+        col_ids[slot] = pad_col;
+        vals[slot] = value_t{0};
       }
     }
   }

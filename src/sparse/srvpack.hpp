@@ -16,7 +16,8 @@
 // σ-window reordering). Within a chunk the nonzeros are stored slot-major:
 // slot j holds the j-th nonzero of each of the c rows, contiguously, so one
 // vector instruction processes one slot across all c lanes. Rows shorter
-// than the chunk's longest row are padded with (column 0, value 0).
+// than the chunk's longest row are padded with (the segment's first column,
+// value 0), so every stored id stays inside the segment's column window.
 // With segmentation, each segment stores the nonzeros of its column range
 // with the same chunked layout and its own row order (per-segment RFS).
 
@@ -57,8 +58,10 @@ struct SrvSegment {
   /// in slots (one slot = c values). Length = num_chunks()+1.
   std::vector<nnz_t> chunk_offset;
 
-  aligned_vector<value_t> vals;     ///< chunk_offset.back()*c entries
-  aligned_vector<index_t> col_ids;  ///< parallel to vals
+  /// chunk_offset.back()*c entries. The builder writes every slot, so the
+  /// planes are allocated without zero-filling them first.
+  uninit_aligned_vector<value_t> vals;
+  uninit_aligned_vector<index_t> col_ids;  ///< parallel to vals
 
   index_t num_rows() const { return static_cast<index_t>(row_order.size()); }
   index_t num_chunks() const {

@@ -27,26 +27,51 @@ std::vector<index_t> invert_permutation(const std::vector<index_t>& perm) {
   return inv;
 }
 
-std::vector<index_t> sigma_sorted_row_order(const CsrMatrix& m,
-                                            index_t sigma) {
-  const index_t n = m.nrows();
-  std::vector<index_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  if (sigma <= 1 || n == 0) return order;
+namespace {
 
-  const index_t window = std::min(sigma, n);
-  for (index_t begin = 0; begin < n; begin += window) {
-    const index_t end = std::min<index_t>(begin + window, n);
-    std::stable_sort(order.begin() + begin, order.begin() + end,
-                     [&m](index_t a, index_t b) {
-                       return m.row_nnz(a) > m.row_nnz(b);
-                     });
+/// Writes rows [begin, end) to `out` by descending length, ties in row
+/// order: a counting sort over the window's length range. That range is at
+/// most the window's longest row, so over all windows the sort costs
+/// O(rows + nonzeros) at worst.
+void sort_window(std::span<const nnz_t> row_len, index_t begin, index_t end,
+                 index_t* out) {
+  const auto len = [row_len](index_t r) {
+    return row_len[static_cast<std::size_t>(r)];
+  };
+  const auto [lo, hi] =
+      std::minmax_element(row_len.begin() + begin, row_len.begin() + end);
+  // next[d] is the output slot of the next row whose length is *hi - d.
+  std::vector<index_t> next(static_cast<std::size_t>(*hi - *lo) + 1, 0);
+  for (index_t r = begin; r < end; ++r) {
+    const auto d = static_cast<std::size_t>(*hi - len(r));
+    if (d + 1 < next.size()) ++next[d + 1];
   }
-  return order;
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  for (index_t r = begin; r < end; ++r) {
+    out[next[static_cast<std::size_t>(*hi - len(r))]++] = r;
+  }
 }
 
-std::vector<index_t> rfs_row_order(const CsrMatrix& m) {
-  return sigma_sorted_row_order(m, m.nrows());
+}  // namespace
+
+std::vector<index_t> sigma_sorted_row_order(std::span<const nnz_t> row_len,
+                                            index_t sigma) {
+  const auto n = static_cast<index_t>(row_len.size());
+  std::vector<index_t> order(static_cast<std::size_t>(n));
+  if (sigma <= 1) {
+#pragma omp parallel for schedule(static)
+    for (index_t i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+    return order;
+  }
+  const index_t window = std::min(sigma, n);
+  const index_t num_windows = n == 0 ? 0 : (n - 1) / window + 1;
+#pragma omp parallel for schedule(static) if (num_windows > 1)
+  for (index_t w = 0; w < num_windows; ++w) {
+    const index_t begin = w * window;
+    const index_t end = begin + std::min(window, n - begin);
+    sort_window(row_len, begin, end, order.data() + begin);
+  }
+  return order;
 }
 
 std::vector<index_t> cfs_col_order(const CsrMatrix& m) {
@@ -134,11 +159,13 @@ std::vector<index_t> segment_boundaries(const std::vector<nnz_t>& col_counts,
       running += col_counts[static_cast<std::size_t>(col)];
       ++col;
     }
-    // Keep at least one column in every remaining segment when possible.
-    const auto max_boundary =
-        std::max<index_t>(1, ncols - static_cast<index_t>(fractions.size() -
-                                                          boundaries.size()));
-    boundaries.push_back(std::clamp<index_t>(col, 1, max_boundary));
+    // Keep at least one column in every remaining segment when possible;
+    // a matrix without columns gets empty segments at column 0.
+    const index_t min_boundary = std::min<index_t>(1, ncols);
+    const auto max_boundary = std::max<index_t>(
+        min_boundary,
+        ncols - static_cast<index_t>(fractions.size() - boundaries.size()));
+    boundaries.push_back(std::clamp<index_t>(col, min_boundary, max_boundary));
   }
   return boundaries;
 }

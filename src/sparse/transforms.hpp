@@ -14,6 +14,7 @@
 // A permutation `perm` is always stored as new-position → old-index:
 // perm[p] = original index of the element now at position p.
 
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -27,14 +28,15 @@ void validate_permutation(const std::vector<index_t>& perm, index_t n);
 /// Returns the inverse permutation: inv[old] = new position.
 std::vector<index_t> invert_permutation(const std::vector<index_t>& perm);
 
-/// Row ordering by descending nonzero count within each window of `sigma`
-/// consecutive rows. The sort is stable, so rows with equal counts keep
-/// their relative (locality-preserving) order — paper §2.2.
-/// sigma <= 1 returns the identity; sigma >= nrows is full RFS.
-std::vector<index_t> sigma_sorted_row_order(const CsrMatrix& m, index_t sigma);
-
-/// Full Row Frequency Sorting: descending row nonzero count, stable.
-std::vector<index_t> rfs_row_order(const CsrMatrix& m);
+/// Row ordering by descending row length within each window of `sigma`
+/// consecutive rows, where `row_len[i]` is row i's nonzero count (in the
+/// whole matrix, or in one column segment). Equal lengths keep their
+/// natural, locality-preserving order — exactly a stable sort (paper
+/// §2.2). sigma <= 1 returns the identity; sigma >= rows is full RFS. The
+/// windows are sorted in parallel; the order does not depend on the thread
+/// count. The SRVPack builder orders every segment with this function.
+std::vector<index_t> sigma_sorted_row_order(std::span<const nnz_t> row_len,
+                                            index_t sigma);
 
 /// Column Frequency Sorting order: descending column nonzero count, stable.
 std::vector<index_t> cfs_col_order(const CsrMatrix& m);

@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace wise {
@@ -56,5 +58,31 @@ struct AlignedAllocator {
 /// Vector whose data pointer is 64-byte aligned.
 template <typename T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose argument-less construct() default-initializes,
+/// so resize(n) leaves arithmetic elements uninitialized instead of zeroing
+/// them. Only for buffers whose builder then writes every element.
+template <typename T>
+struct DefaultInitAllocator : AlignedAllocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  using AlignedAllocator<T>::AlignedAllocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// 64-byte aligned vector whose resize() does not initialize new elements.
+template <typename T>
+using uninit_aligned_vector = std::vector<T, DefaultInitAllocator<T>>;
 
 }  // namespace wise

@@ -16,41 +16,13 @@
 #include <utility>
 #include <vector>
 
-#include "gen/generators.hpp"
+#include "golden_corpus.hpp"
 #include "wise/pipeline.hpp"
 
 namespace wise {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Twelve matrices across the generator families: skewed and local RMAT
-/// graphs, a geometric graph, stencils, banded and block-diagonal
-/// structure, and a road-like graph.
-std::vector<std::pair<std::string, CsrMatrix>> corpus() {
-  std::vector<std::pair<std::string, CsrMatrix>> out;
-  const auto add = [&](std::string name, const CooMatrix& coo) {
-    out.emplace_back(std::move(name), CsrMatrix::from_coo(coo));
-  };
-  add("rmat-hs", generate_rmat(
-                     rmat_class_params(RmatClass::kHighSkew, 1 << 13, 12), 1));
-  add("rmat-ms", generate_rmat(
-                     rmat_class_params(RmatClass::kMedSkew, 1 << 13, 8), 2));
-  add("rmat-ls", generate_rmat(
-                     rmat_class_params(RmatClass::kLowSkew, 1 << 12, 16), 3));
-  add("rmat-ll", generate_rmat(
-                     rmat_class_params(RmatClass::kLowLoc, 1 << 13, 10), 4));
-  add("rmat-hl", generate_rmat(
-                     rmat_class_params(RmatClass::kHighLoc, 1 << 12, 8), 5));
-  add("rgg", generate_rgg(1 << 13, 10, 6));
-  add("stencil2d-5", generate_stencil2d(96, 96, 5));
-  add("stencil2d-9", generate_stencil2d(64, 80, 9));
-  add("stencil3d", generate_stencil3d(20, 20, 20));
-  add("banded", generate_banded(6000, 12, 0.5, 7));
-  add("block-diag", generate_block_diag(6000, 24, 0.6, 8));
-  add("road", generate_road_like(8000, 9));
-  return out;
-}
 
 fs::path pinned_bank() {
   return fs::path(WISE_TEST_DATA_DIR) / ".." / ".." / "e2ebench" / "bank";
@@ -75,7 +47,7 @@ TEST(GoldenSelection, PinnedBankPicksAreThreadCountInvariant) {
   std::stringstream golden;
   golden << in.rdbuf();
 
-  const auto ms = corpus();
+  const auto ms = testing::golden_corpus();
   const int ambient = omp_get_max_threads();
   for (int threads : {1, 2, 8}) {
     omp_set_num_threads(threads);
@@ -90,7 +62,7 @@ TEST(GoldenSelection, FiniteHorizonEqualsUnboundedOnAPrepLessBank) {
   // weigh: the choice, and its recorded horizon, are the unbounded ones.
   const Wise wise(ModelBank::load(pinned_bank().string()));
   ASSERT_FALSE(wise.bank().has_prep_head());
-  for (const auto& [name, m] : corpus()) {
+  for (const auto& [name, m] : testing::golden_corpus()) {
     const WiseChoice unbounded = wise.choose(m);
     const WiseChoice short_run = wise.choose(m, 20);
     EXPECT_EQ(short_run.config, unbounded.config) << name;

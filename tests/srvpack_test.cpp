@@ -192,6 +192,33 @@ TEST(SrvPack, HandlesEmptyMatrix) {
   EXPECT_DOUBLE_EQ(p.padding_ratio(), 0.0);
 }
 
+TEST(SrvPack, WritesEveryPlaneSlotOnADirtyHeap) {
+  // The planes are allocated without a zero-fill, so a slot the builder
+  // skipped would keep whatever the allocator hands back. Leave freed
+  // blocks of the planes' sizes full of 0xFF bytes (a NaN value, column
+  // id -1) and build again: the layout must equal the one built first.
+  const CsrMatrix m = random_csr(203, 150, 5.0, 12);
+  for (const SrvBuildOptions& opts :
+       {sellpack_opts(8), SrvBuildOptions{.c = 4, .sigma = 16},
+        SrvBuildOptions{.c = 8, .sigma = kSigmaAll, .cfs = true,
+                        .segment_fractions = {0.7}}}) {
+    const SrvPackMatrix clean = SrvPackMatrix::build(m, opts);
+    for (const auto& seg : clean.segments()) {
+      for (std::size_t bytes : {seg.vals.size() * sizeof(value_t),
+                                seg.col_ids.size() * sizeof(index_t)}) {
+        uninit_aligned_vector<unsigned char> junk(bytes);
+        std::fill(junk.begin(), junk.end(), 0xFF);
+      }
+    }
+    const SrvPackMatrix p = SrvPackMatrix::build(m, opts);
+    EXPECT_NO_THROW(p.validate());
+    for (std::size_t s = 0; s < p.segments().size(); ++s) {
+      EXPECT_EQ(p.segments()[s].col_ids, clean.segments()[s].col_ids);
+      EXPECT_EQ(p.segments()[s].vals, clean.segments()[s].vals);
+    }
+  }
+}
+
 TEST(SrvPack, MemoryBytesIsPositiveAndGrowsWithPadding) {
   const CsrMatrix m = random_csr(64, 64, 4.0, 8);
   const SrvPackMatrix tight =

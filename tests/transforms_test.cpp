@@ -35,7 +35,7 @@ TEST(Permutation, InvertIsCorrect) {
 
 TEST(SigmaSort, SigmaOneKeepsNaturalOrder) {
   const CsrMatrix m = random_csr(20, 20, 3.0, 1);
-  const auto order = sigma_sorted_row_order(m, 1);
+  const auto order = sigma_sorted_row_order(m.row_counts(), 1);
   std::vector<index_t> identity(20);
   std::iota(identity.begin(), identity.end(), 0);
   EXPECT_EQ(order, identity);
@@ -44,7 +44,7 @@ TEST(SigmaSort, SigmaOneKeepsNaturalOrder) {
 TEST(SigmaSort, SortsDescendingWithinWindows) {
   const CsrMatrix m = random_csr(32, 32, 4.0, 2);
   const index_t sigma = 8;
-  const auto order = sigma_sorted_row_order(m, sigma);
+  const auto order = sigma_sorted_row_order(m.row_counts(), sigma);
   for (index_t w = 0; w < 32; w += sigma) {
     for (index_t i = w + 1; i < w + sigma; ++i) {
       EXPECT_GE(m.row_nnz(order[static_cast<std::size_t>(i - 1)]),
@@ -64,15 +64,40 @@ TEST(SigmaSort, IsStableForEqualCounts) {
   CooMatrix coo(8, 8);
   for (index_t i = 0; i < 8; ++i) coo.add(i, i, 1.0);
   const CsrMatrix m = CsrMatrix::from_coo(coo);
-  const auto order = sigma_sorted_row_order(m, 4);
+  const auto order = sigma_sorted_row_order(m.row_counts(), 4);
   std::vector<index_t> identity(8);
   std::iota(identity.begin(), identity.end(), 0);
   EXPECT_EQ(order, identity);
 }
 
+TEST(SigmaSort, EqualsAStableSortPerWindow) {
+  // Short rows with many ties, empty rows, and one very long row (a window
+  // whose length range far exceeds its row count).
+  Xoshiro256 rng(7);
+  std::vector<nnz_t> len(1000);
+  for (auto& l : len) l = static_cast<nnz_t>(rng.next_below(6));
+  len[517] = 100000;
+  for (index_t sigma : {1, 2, 3, 7, 64, 512, 999, 1000, 1 << 30}) {
+    std::vector<index_t> expect(len.size());
+    std::iota(expect.begin(), expect.end(), 0);
+    const auto window = static_cast<std::size_t>(sigma);
+    for (std::size_t b = 0; b < expect.size(); b += window) {
+      const auto e = std::min(expect.size(), b + window);
+      std::stable_sort(expect.begin() + static_cast<std::ptrdiff_t>(b),
+                       expect.begin() + static_cast<std::ptrdiff_t>(e),
+                       [&len](index_t x, index_t y) {
+                         return len[static_cast<std::size_t>(x)] >
+                                len[static_cast<std::size_t>(y)];
+                       });
+    }
+    EXPECT_EQ(sigma_sorted_row_order(len, sigma), expect) << "sigma " << sigma;
+  }
+  EXPECT_TRUE(sigma_sorted_row_order(std::vector<nnz_t>{}, 4).empty());
+}
+
 TEST(Rfs, SortsAllRowsDescending) {
   const CsrMatrix m = random_csr(64, 64, 5.0, 3);
-  const auto order = rfs_row_order(m);
+  const auto order = sigma_sorted_row_order(m.row_counts(), m.nrows());
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_GE(m.row_nnz(order[i - 1]), m.row_nnz(order[i]));
   }
@@ -144,6 +169,13 @@ TEST(SegmentBoundaries, AlwaysLeavesColumnsForLaterSegments) {
   ASSERT_EQ(b.size(), 1u);
   EXPECT_GE(b[0], 1);
   EXPECT_LE(b[0], 3);
+}
+
+TEST(SegmentBoundaries, NoColumnsGivesEmptySegmentsAtZero) {
+  // A boundary past the last column would make segments that do not tile
+  // [0, ncols), and SrvPackMatrix::validate rejects such a layout.
+  EXPECT_EQ(segment_boundaries({}, {0.7}), std::vector<index_t>{0});
+  EXPECT_EQ(segment_boundaries({}, {0.5, 0.8}), (std::vector<index_t>{0, 0}));
 }
 
 TEST(SegmentBoundaries, RejectsBadFractions) {
