@@ -81,6 +81,16 @@ void BM_ExtractFeaturesLargeSerialRef(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractFeaturesLargeSerialRef)->Unit(benchmark::kMillisecond);
 
+void BM_CsrValidate(benchmark::State& state) {
+  // The admission check Wise::prepare runs before the features, on the
+  // same fixture as BM_ExtractFeaturesLarge.
+  const CsrMatrix& m = large_fixture_matrix();
+  for (auto _ : state) m.validate();
+  state.SetItemsProcessed(state.iterations() * m.nnz());
+  report_threads(state);
+}
+BENCHMARK(BM_CsrValidate)->Unit(benchmark::kMillisecond);
+
 void BM_AnalyzeTiling(benchmark::State& state) {
   const CsrMatrix& m = fixture_matrix();
   for (auto _ : state) {

@@ -4,6 +4,8 @@
 #include <bit>
 #include <omp.h>
 
+#include "util/reciprocal.hpp"
+
 namespace wise {
 
 namespace {
@@ -29,7 +31,16 @@ static_assert([] {
 //
 // All presence counters are computed from bitmaps rather than per-nonzero
 // marker probes, so the hot loop touches exactly four small arrays per
-// nonzero (column histogram, column bitmap, tile mass, row bitmap):
+// nonzero (column histogram, column bitmap, tile mass, row bitmap). Nor
+// does it branch on the data:
+//
+// Tile column: j / cols_per_tile is one 64×64→128 multiply by an exact
+// reciprocal (ReciprocalDivider, util/reciprocal.hpp) in place of a
+// division.
+//
+// Occupied tiles: every nonzero stores its tile column into the next free
+// slot of the first-touch list, and only a first touch (tile mass was 0)
+// advances the list's length, so recording the order costs no branch.
 //
 // Row side: each row ORs its touched tile columns into a k-bit bitmap.
 // Per-row popcount gives the X=1 presence (a row determines its tile row).
@@ -73,9 +84,14 @@ void fused_chunk_sweep(const CsrMatrix& m, index_t k, index_t rows_per_tile,
   std::uint64_t* cb = colbits.data();
   const std::size_t nwc = colbits.size();
 
+  const ReciprocalDivider tile_col(
+      static_cast<std::uint32_t>(cols_per_tile));
   std::vector<nnz_t> block_count(uk, 0);
-  std::vector<index_t> occupied;
-  occupied.reserve(uk);
+  // First-touch order of the tile row's occupied tiles. Every nonzero
+  // stores its tile column at n_occ and only a first touch advances n_occ,
+  // so the slot past the last tile (k + 1 in all) absorbs the other stores.
+  std::vector<std::uint32_t> occupied(uk + 1);
+  std::size_t n_occ = 0;
 
   // Tile-column bitmaps: one word per 64 tile columns (k <= 2048 → <= 32
   // words, L1-resident). acc[0] is unused; acc[x] covers factor x.
@@ -85,11 +101,11 @@ void fused_chunk_sweep(const CsrMatrix& m, index_t k, index_t rows_per_tile,
   for (std::size_t x = 1; x < kNumFactors; ++x) acc[x].assign(nwr, 0);
 
   auto flush_block = [&] {
-    for (index_t tc : occupied) {
-      out.tile_counts.push_back(block_count[static_cast<std::size_t>(tc)]);
-      block_count[static_cast<std::size_t>(tc)] = 0;
+    for (std::size_t t = 0; t < n_occ; ++t) {
+      out.tile_counts.push_back(block_count[occupied[t]]);
+      block_count[occupied[t]] = 0;
     }
-    occupied.clear();
+    n_occ = 0;
   };
 
   // Pops accumulators 1..xmax (fine to coarse). Bits always propagate to the
@@ -172,24 +188,15 @@ void fused_chunk_sweep(const CsrMatrix& m, index_t k, index_t rows_per_tile,
           static_cast<std::size_t>(std::countr_zero(static_cast<std::uint32_t>(i)));
       flush_rows(std::min(kNumFactors - 1, tz - 1));
     }
-    // Columns are sorted within the row, so the tile column advances
-    // monotonically; divide only when crossing a tile-column boundary.
-    index_t tc = 0;
-    std::int64_t tc_limit = 0;
     const nnz_t pend = row_ptr[i + 1];
     for (nnz_t p = row_ptr[i]; p < pend; ++p) {
       const index_t j = col_idx[p];
-      if (j >= tc_limit) {
-        tc = j / cols_per_tile;
-        tc_limit = (static_cast<std::int64_t>(tc) + 1) * cols_per_tile;
-      }
+      const std::uint32_t tc = tile_col(static_cast<std::uint32_t>(j));
       ++hist[j];
       cb[static_cast<std::size_t>(j) >> 6] |= std::uint64_t{1} << (j & 63);
-      if (block_count[static_cast<std::size_t>(tc)]++ == 0) {
-        occupied.push_back(tc);
-      }
-      row_bits[static_cast<std::size_t>(tc) >> 6] |= std::uint64_t{1}
-                                                     << (tc & 63);
+      occupied[n_occ] = tc;
+      n_occ += block_count[tc]++ == 0;
+      row_bits[tc >> 6] |= std::uint64_t{1} << (tc & 63);
     }
     if (row_ptr[i] != pend) {
       // End of row == X=1 boundary: pop the row bitmap and cascade it.

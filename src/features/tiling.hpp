@@ -28,9 +28,11 @@
 // one chunk. All per-chunk counters are integers merged in chunk order,
 // which makes every field of TilingResult — including the order of
 // tile_counts — a pure function of the matrix, independent of the OpenMP
-// thread count. The column side is computed in the same sweep via
-// monotone change-detection markers over the refined (column-group ×
-// tile-column) partition; no transpose is ever materialized.
+// thread count. The column side is computed in the same sweep: each
+// stripe of rows sharing a tile row marks its touched columns in a
+// per-stripe column bitmap, and at the stripe's end an OR-fold plus masked
+// popcount counts the nonempty (column-group × tile-column) cells; no
+// transpose is ever materialized.
 
 #include <array>
 #include <vector>

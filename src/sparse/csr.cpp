@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,27 +16,58 @@ namespace wise {
 
 namespace {
 
-/// True when some row holds a column outside [0, ncols) or columns that do
-/// not strictly increase. A strictly increasing row lies inside
-/// [first, last], so the range test needs only its two ends. Branch-free
-/// within a row; rows split across threads.
-bool any_bad_column(const CsrMatrix& m) {
+/// True when a matrix whose array lengths agree with row_ptr.back() breaks
+/// an O(nnz) invariant: row_ptr descends somewhere, a column lies outside
+/// [0, ncols), some row's columns do not strictly increase, or a value is
+/// NaN or +-Inf. One OpenMP region with no early exit; CsrMatrix::validate
+/// names the defect only when this finds one.
+///
+/// The column tests are flat scans over col_idx, so they vectorize whatever
+/// the row lengths. `flat` counts every descent c[k] <= c[k-1] of the whole
+/// array plus every out-of-range column; `at_starts` counts the descents at
+/// the first nonzero of each nonempty row. With a monotone row_ptr those
+/// row starts are distinct positions in 1..nnz-1, so `at_starts` counts a
+/// subset of the descents that `flat` counts, each once: the two are equal
+/// exactly when every column is in range and every descent sits where one
+/// row ends and the next begins, i.e. every row is strictly sorted. A
+/// descending row_ptr sets `bad`, which decides the verdict by itself.
+bool any_bad_entry(const CsrMatrix& m) {
   const nnz_t* rp = m.row_ptr().data();
   const index_t* ci = m.col_idx().data();
-  const index_t ncols = m.ncols();
+  const value_t* v = m.vals().data();
+  const nnz_t nnz = m.nnz();
   const auto n = static_cast<std::int64_t>(m.nrows());
+  // c < 0 || c >= ncols in one unsigned compare; |v| <= max is false
+  // exactly for NaN and the infinities.
+  const auto ncols = static_cast<std::uint32_t>(m.ncols());
+  constexpr value_t kMax = std::numeric_limits<value_t>::max();
+  nnz_t flat = 0;
+  nnz_t at_starts = 0;
   int bad = 0;
-#pragma omp parallel for schedule(static) reduction(| : bad) \
-    if (m.nnz() >= detail::kParallelScanMin)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const nnz_t b = rp[i];
-    const nnz_t e = rp[i + 1];
-    if (e == b) continue;
-    bad |= (ci[b] < 0) | (ci[e - 1] >= ncols);
-#pragma omp simd reduction(| : bad)
-    for (nnz_t k = b + 1; k < e; ++k) bad |= ci[k] <= ci[k - 1];
+  if (nnz > 0) {
+    flat = static_cast<std::uint32_t>(ci[0]) >= ncols;
+    bad = !(std::fabs(v[0]) <= kMax);
   }
-  return bad != 0;
+#pragma omp parallel if (nnz >= detail::kParallelScanMin)
+  {
+#pragma omp for simd schedule(static) reduction(+ : flat) \
+    reduction(| : bad) nowait
+    for (nnz_t k = 1; k < nnz; ++k) {
+      flat += (ci[k] <= ci[k - 1]) +
+              (static_cast<std::uint32_t>(ci[k]) >= ncols);
+      bad |= !(std::fabs(v[k]) <= kMax);
+    }
+#pragma omp for schedule(static) reduction(+ : at_starts) \
+    reduction(| : bad) nowait
+    for (std::int64_t i = 0; i < n; ++i) {
+      const nnz_t b = rp[i];
+      const nnz_t e = rp[i + 1];
+      bad |= e < b;
+      const bool row_start = (b > 0) & (b < e) & (b < nnz);
+      at_starts += row_start && ci[b] <= ci[b - 1];
+    }
+  }
+  return bad != 0 || flat != at_starts;
 }
 
 }  // namespace
@@ -159,6 +191,16 @@ void CsrMatrix::validate() const {
       row_ptr_.front() != 0) {
     throw Error(ErrorCategory::kValidation, "CsrMatrix: malformed row_ptr");
   }
+  // Fast path: when the array lengths agree, one parallel pass says
+  // whether anything is bad. Only then do the serial checks below run, in
+  // their fixed order, to name the first defect with the message it has
+  // always given.
+  const nnz_t nnz = row_ptr_.back();
+  const nnz_t capacity = static_cast<nnz_t>(nrows_) * ncols_;
+  const bool lengths_agree = nnz >= 0 && nnz <= capacity &&
+                             col_idx_.size() == static_cast<std::size_t>(nnz) &&
+                             vals_.size() == col_idx_.size();
+  if (lengths_agree && !any_bad_entry(*this)) return;
   for (std::size_t i = 1; i < row_ptr_.size(); ++i) {
     if (row_ptr_[i] < row_ptr_[i - 1]) {
       throw Error(ErrorCategory::kValidation,
@@ -166,22 +208,15 @@ void CsrMatrix::validate() const {
                       std::to_string(i - 1));
     }
   }
-  if (row_ptr_.back() < 0 ||
-      row_ptr_.back() >
-          static_cast<nnz_t>(nrows_) * static_cast<nnz_t>(ncols_)) {
+  if (nnz < 0 || nnz > capacity) {
     throw Error(ErrorCategory::kValidation,
-                "CsrMatrix: nnz " + std::to_string(row_ptr_.back()) +
+                "CsrMatrix: nnz " + std::to_string(nnz) +
                     " overflows rows*cols");
   }
-  if (col_idx_.size() != static_cast<std::size_t>(row_ptr_.back()) ||
-      vals_.size() != col_idx_.size()) {
+  if (!lengths_agree) {
     throw Error(ErrorCategory::kValidation,
                 "CsrMatrix: array length mismatch");
   }
-  // Fast path: one parallel pass says whether anything is bad. Only then
-  // does the serial scan below run, to name the first offending row or
-  // nonzero with the message it has always given.
-  if (!any_bad_column(*this) && !detail::any_non_finite(vals_)) return;
   for (index_t i = 0; i < nrows_; ++i) {
     const auto cols = row_cols(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {

@@ -8,7 +8,9 @@
 // first and fall back to their serial loop only when one reports a
 // defect, so valid input — the common case — pays for the fast pass
 // alone, and an error keeps the category and message the serial loop
-// gives it.
+// gives it. SrvPackMatrix::validate uses the scans below; CsrMatrix's
+// checks share one parallel region of their own (csr.cpp) and only the
+// threshold from here.
 
 #include <cmath>
 #include <cstdint>

@@ -3,18 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/mmio.hpp"
+#include "sparse/validate_scan.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
+#include "util/prng.hpp"
 
 namespace wise {
 namespace {
@@ -239,6 +243,257 @@ TEST(Csr, ValidateReportsTheFirstOfTwoDefects) {
   mixed.cols[mixed.at(RawCsr::kN - 1, 8)] = RawCsr::kN + 5;
   EXPECT_EQ(mixed.error(), "CsrMatrix: column index out of range in row " +
                                std::to_string(RawCsr::kN - 1));
+}
+
+/// A CSR given row by row (all values 1), for the edge cases of
+/// validate()'s flat column check: empty rows, single-nonzero rows and
+/// descents where one row ends and the next begins.
+struct RowsCsr {
+  index_t ncols = 0;
+  std::vector<nnz_t> row_ptr{0};
+  aligned_vector<index_t> cols;
+  aligned_vector<value_t> vals;
+
+  RowsCsr(index_t nc, const std::vector<std::vector<index_t>>& rows)
+      : ncols(nc) {
+    for (const auto& r : rows) add_row(r);
+  }
+  void add_row(const std::vector<index_t>& r) {
+    for (const index_t c : r) {
+      cols.push_back(c);
+      vals.push_back(1.0);
+    }
+    row_ptr.push_back(static_cast<nnz_t>(cols.size()));
+  }
+  index_t nrows() const { return static_cast<index_t>(row_ptr.size() - 1); }
+  nnz_t nnz() const { return row_ptr.back(); }
+  /// The message of the error that construction throws, or "" if none.
+  std::string error() const {
+    try {
+      CsrMatrix(nrows(), ncols, row_ptr, cols, vals);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kValidation);
+      return e.message();
+    }
+    return "";
+  }
+  /// The plain serial reading of the column and value invariants: the
+  /// message of the first defect in row order, or "" when there is none.
+  std::string serial_verdict() const {
+    for (index_t i = 0; i < nrows(); ++i) {
+      const auto b = row_ptr[static_cast<std::size_t>(i)];
+      const auto e = row_ptr[static_cast<std::size_t>(i) + 1];
+      for (nnz_t k = b; k < e; ++k) {
+        const index_t c = cols[static_cast<std::size_t>(k)];
+        if (c < 0 || c >= ncols) {
+          return "CsrMatrix: column index out of range in row " +
+                 std::to_string(i);
+        }
+        if (k > b && c <= cols[static_cast<std::size_t>(k) - 1]) {
+          return "CsrMatrix: columns not strictly sorted in row " +
+                 std::to_string(i);
+        }
+      }
+    }
+    for (std::size_t k = 0; k < vals.size(); ++k) {
+      if (!std::isfinite(vals[k])) {
+        return "CsrMatrix: non-finite value at nonzero " + std::to_string(k);
+      }
+    }
+    return "";
+  }
+};
+
+const std::string kUnsorted = "CsrMatrix: columns not strictly sorted in row ";
+const std::string kOutOfRange = "CsrMatrix: column index out of range in row ";
+
+TEST(Csr, FlatColumnCheckAcceptsDescentsBetweenRows) {
+  const std::vector<std::pair<const char*, RowsCsr>> valid = {
+      {"descent at a row start after empty rows",
+       RowsCsr(8, {{5, 6}, {}, {}, {1, 2}})},
+      {"same column ends one row and starts the next nonempty row",
+       RowsCsr(8, {{1, 3}, {}, {3, 4}})},
+      {"single-nonzero rows, descending and repeated",
+       RowsCsr(8, {{7}, {6}, {6}, {}, {0}, {7}})},
+      {"leading empty rows", RowsCsr(8, {{}, {}, {3}, {2, 7}})},
+      {"trailing empty rows", RowsCsr(8, {{4, 5}, {0}, {}, {}})},
+      {"one nonzero", RowsCsr(1, {{}, {0}})},
+  };
+  for (const auto& [name, r] : valid) {
+    EXPECT_EQ(r.error(), "") << name;
+    EXPECT_EQ(r.serial_verdict(), "") << name;
+  }
+}
+
+TEST(Csr, FlatColumnCheckNamesTheRowOfEachDefect) {
+  const std::vector<std::tuple<const char*, RowsCsr, std::string>> invalid = {
+      {"duplicate in the first row after an empty row",
+       RowsCsr(8, {{1, 2}, {}, {4, 4}}), kUnsorted + "2"},
+      {"descent in the first row after empty rows",
+       RowsCsr(8, {{1, 2}, {}, {}, {5, 3}}), kUnsorted + "3"},
+      {"descent in a first row that starts at 0",
+       RowsCsr(8, {{}, {}, {2, 1}, {0}}), kUnsorted + "2"},
+      {"descent after a cross-row descent",
+       RowsCsr(8, {{6, 7}, {0, 1, 1}}), kUnsorted + "1"},
+      {"single nonzero >= ncols", RowsCsr(8, {{3}, {8}}), kOutOfRange + "1"},
+      {"single nonzero < 0", RowsCsr(8, {{-1}}), kOutOfRange + "0"},
+      {"out of range at the last nonzero", RowsCsr(8, {{0, 1}, {}, {2, 9}}),
+       kOutOfRange + "2"},
+      {"out of range with every row sorted", RowsCsr(4, {{0, 5}}),
+       kOutOfRange + "0"},
+  };
+  for (const auto& [name, r, message] : invalid) {
+    EXPECT_EQ(r.serial_verdict(), message) << name;
+    EXPECT_EQ(r.error(), message) << name;
+  }
+}
+
+/// A valid matrix of exactly `nnz` nonzeros. Its row lengths cycle through
+/// {0, 2, 1, 1, 0, 0, 3, 5}, so it holds empty rows, single-nonzero rows,
+/// rows of two or more right after empty ones (rows 1 and 6), and a
+/// descent at most row starts.
+RowsCsr cycling_rows(nnz_t nnz, index_t ncols) {
+  constexpr index_t kLens[] = {0, 2, 1, 1, 0, 0, 3, 5};
+  RowsCsr r(ncols, {});
+  for (index_t i = 0; r.nnz() < nnz; ++i) {
+    const auto len = static_cast<index_t>(
+        std::min<nnz_t>(kLens[i % 8], nnz - r.nnz()));
+    const index_t c0 = (i * 37) % (ncols - len);
+    std::vector<index_t> row(static_cast<std::size_t>(len));
+    for (index_t j = 0; j < len; ++j) row[static_cast<std::size_t>(j)] = c0 + j;
+    r.add_row(row);
+  }
+  return r;
+}
+
+TEST(Csr, FlatColumnCheckAroundTheParallelThreshold) {
+  for (const nnz_t nnz :
+       {detail::kParallelScanMin - 1, detail::kParallelScanMin,
+        detail::kParallelScanMin + 1}) {
+    SCOPED_TRACE("nnz " + std::to_string(nnz));
+    const RowsCsr base = cycling_rows(nnz, 1000);
+    ASSERT_EQ(base.nnz(), nnz);
+    ASSERT_EQ(base.error(), "");
+    index_t last = base.nrows() - 1;
+    while (base.row_ptr[static_cast<std::size_t>(last)] == base.nnz()) --last;
+    const auto start = [&](index_t i) {
+      return static_cast<std::size_t>(base.row_ptr[static_cast<std::size_t>(i)]);
+    };
+    // An empty message means: whatever the serial predicate says.
+    const std::vector<std::pair<std::function<void(RowsCsr&)>, std::string>>
+        defects = {
+            {[&](RowsCsr& r) { r.cols[start(6) + 1] = r.cols[start(6)]; },
+             kUnsorted + "6"},
+            {[&](RowsCsr& r) { std::swap(r.cols[0], r.cols[1]); },
+             kUnsorted + "1"},
+            {[&](RowsCsr& r) { r.cols[0] = -1; },
+             kOutOfRange + std::to_string(1)},
+            {[&](RowsCsr& r) { r.cols.back() = 1000; },
+             kOutOfRange + std::to_string(last)},
+            {[&](RowsCsr& r) {
+               r.cols[static_cast<std::size_t>(nnz) - 1] =
+                   r.cols[static_cast<std::size_t>(nnz) - 2] - 1;
+             },
+             ""},
+        };
+    for (const auto& [apply, message] : defects) {
+      RowsCsr r = base;
+      apply(r);
+      const std::string expected = r.serial_verdict();
+      if (!message.empty()) {
+        EXPECT_EQ(expected, message);
+      }
+      EXPECT_EQ(r.error(), expected);
+    }
+  }
+}
+
+TEST(Csr, ValidateFastPathCatchesADescendingRowPtr) {
+  // The array lengths agree with row_ptr.back(), so only the parallel pass
+  // can see the descent; the serial loop then names it. Row 1 of the
+  // second case points past nnz and must not be read as a row start.
+  RowsCsr small(8, {{0, 1}, {}, {}});
+  small.row_ptr = {0, 5, 2, 2};
+  EXPECT_EQ(small.error(), "CsrMatrix: row_ptr not monotone at row 1");
+  small.row_ptr = {0, 5, 7, 2};
+  EXPECT_EQ(small.error(), "CsrMatrix: row_ptr not monotone at row 2");
+  for (const nnz_t nnz :
+       {detail::kParallelScanMin - 1, detail::kParallelScanMin + 1}) {
+    RowsCsr r = cycling_rows(nnz, 1000);
+    r.row_ptr[10] = r.row_ptr[11] + 1;
+    EXPECT_EQ(r.error(), "CsrMatrix: row_ptr not monotone at row 10");
+    r.row_ptr[10] = r.nnz() + 7;
+    EXPECT_EQ(r.error(), "CsrMatrix: row_ptr not monotone at row 10");
+  }
+}
+
+TEST(Csr, FlatColumnCheckMatchesASerialPredicateOnSeededCorruptions) {
+  // Two bases: one below kParallelScanMin and one above it, each with
+  // empty and single-nonzero rows. Every trial corrupts one or two
+  // nonzeros; validate() must throw exactly when the serial predicate
+  // finds a defect, with the same message.
+  Xoshiro256 rng(20231001);
+  const auto random_base = [&](index_t nrows, index_t ncols, int max_len) {
+    RowsCsr r(ncols, {});
+    for (index_t i = 0; i < nrows; ++i) {
+      const auto len = static_cast<index_t>(
+          rng.next_below(static_cast<std::uint64_t>(max_len) + 1));
+      std::vector<index_t> row;
+      for (index_t j = 0; j < len; ++j) {
+        row.push_back(static_cast<index_t>(
+            rng.next_below(static_cast<std::uint64_t>(ncols))));
+      }
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
+      r.add_row(row);
+    }
+    return r;
+  };
+  const RowsCsr small = random_base(300, 40, 5);
+  const RowsCsr large = random_base(6000, 3000, 12);
+  ASSERT_LT(small.nnz(), detail::kParallelScanMin);
+  ASSERT_GE(large.nnz(), detail::kParallelScanMin);
+  ASSERT_EQ(small.error(), "");
+  ASSERT_EQ(large.error(), "");
+
+  int invalid = 0;
+  constexpr int kTrials = 1200;
+  for (int t = 0; t < kTrials; ++t) {
+    RowsCsr r = (t % 2 == 0) ? small : large;
+    const auto n = static_cast<std::uint64_t>(r.nnz());
+    const int edits = 1 + static_cast<int>(rng.next_below(4) == 0);
+    for (int e = 0; e < edits; ++e) {
+      const auto p = static_cast<std::size_t>(rng.next_below(n));
+      index_t& c = r.cols[p];
+      switch (rng.next_below(5)) {
+        case 0:  // out of range, low
+          c = rng.next_below(2) ? std::numeric_limits<index_t>::min()
+                                : -1 - static_cast<index_t>(rng.next_below(5));
+          break;
+        case 1:  // out of range, high
+          c = rng.next_below(2) ? std::numeric_limits<index_t>::max()
+                                : r.ncols +
+                                      static_cast<index_t>(rng.next_below(5));
+          break;
+        case 2:  // duplicate of the previous nonzero (maybe across rows)
+          if (p > 0) c = r.cols[p - 1];
+          break;
+        case 3:  // adjacent swap (maybe across rows)
+          if (p + 1 < r.cols.size()) std::swap(c, r.cols[p + 1]);
+          break;
+        default:  // random overwrite inside the column range
+          c = static_cast<index_t>(
+              rng.next_below(static_cast<std::uint64_t>(r.ncols)));
+          break;
+      }
+    }
+    const std::string expected = r.serial_verdict();
+    invalid += !expected.empty();
+    ASSERT_EQ(r.error(), expected) << "trial " << t;
+  }
+  // The corruptions must exercise both verdicts.
+  EXPECT_GT(invalid, kTrials / 2);
+  EXPECT_LT(invalid, kTrials);
 }
 
 TEST(Csr, EmptyMatrixIsValid) {

@@ -6,6 +6,8 @@
 
 #include "features/tiling.hpp"
 #include "test_util.hpp"
+#include "util/prng.hpp"
+#include "util/reciprocal.hpp"
 
 namespace wise {
 namespace {
@@ -143,28 +145,69 @@ TEST(Tiling, FusedMatchesReferenceOnVariedShapes) {
   // reference (forward sweep + transpose + backward sweep) exactly,
   // including the first-touch order of tile_counts. The shapes cover
   // tile widths that are not multiples of 64 (517/8 → 65 columns per
-  // tile), which exercises the masked word-straddle path.
+  // tile), which exercises the masked word-straddle path, and the tile
+  // widths the sweep's reciprocal divider treats apart: one column per
+  // tile (divisor 1), powers of two, 2^m + 1, and a wide matrix whose
+  // column ids need more than 20 bits.
   struct Case {
     CsrMatrix m;
     index_t k;
+    index_t tile_cols;  ///< expected columns per tile (0: not checked)
   };
   const std::vector<Case> cases = {
-      {random_csr(200, 160, 6.0, 11), 8},
-      {random_csr(300, 517, 5.0, 12), 8},
-      {random_csr(129, 1000, 3.0, 13), 16},
-      {CsrMatrix::from_coo(generate_banded(512, 9, 0.7, 14)), 16},
-      {CsrMatrix::from_coo(generate_stencil2d(40, 31)), 8},
-      {random_csr(70, 70, 2.0, 15), 0},  // default grid
+      {random_csr(200, 160, 6.0, 11), 8, 20},
+      {random_csr(300, 517, 5.0, 12), 8, 65},
+      {random_csr(129, 1000, 3.0, 13), 16, 63},
+      {CsrMatrix::from_coo(generate_banded(512, 9, 0.7, 14)), 16, 32},
+      {CsrMatrix::from_coo(generate_stencil2d(40, 31)), 8, 155},
+      {random_csr(70, 70, 2.0, 15), 0, 0},  // default grid
+      {random_csr(100, 64, 4.0, 17), 64, 1},
+      {random_csr(90, 37, 3.0, 18), 37, 1},
+      {random_csr(256, 512, 5.0, 19), 8, 64},
+      {random_csr(256, 512, 5.0, 20), 16, 32},
+      {random_csr(160, 264, 4.0, 21), 8, 33},
+      {random_csr(300, 2064, 6.0, 22), 16, 129},
+      {random_csr(64, index_t{1} << 21, 40.0, 23), 4, index_t{1} << 19},
+      {random_csr(48, (index_t{1} << 20) + 3, 30.0, 24), 3, 349527},
   };
   for (const auto& c : cases) {
     const TilingResult fused = analyze_tiling(c.m, c.k);
     const TilingResult ref = analyze_tiling_reference(c.m, c.k);
+    if (c.tile_cols != 0) {
+      EXPECT_EQ(fused.tile_cols, c.tile_cols);
+    }
     EXPECT_EQ(fused.k, ref.k);
     EXPECT_EQ(fused.tile_counts, ref.tile_counts);
     EXPECT_EQ(fused.rowblock_counts, ref.rowblock_counts);
     EXPECT_EQ(fused.colblock_counts, ref.colblock_counts);
     EXPECT_EQ(fused.row_presence, ref.row_presence);
     EXPECT_EQ(fused.col_presence, ref.col_presence);
+  }
+}
+
+TEST(Tiling, ReciprocalDividerIsExact) {
+  std::vector<std::uint32_t> divisors;
+  for (std::uint32_t d = 1; d <= 4096; ++d) divisors.push_back(d);
+  for (int m = 12; m < 32; ++m) {
+    const std::uint32_t p = std::uint32_t{1} << m;
+    divisors.insert(divisors.end(), {p - 1, p, p + 1});
+  }
+  divisors.push_back(0x7fffffffu);
+  divisors.push_back(0xffffffffu);
+  Xoshiro256 rng(25);
+  for (int i = 0; i < 2000; ++i) {
+    divisors.push_back(1 + static_cast<std::uint32_t>(rng.next_below(0xffffffffu)));
+  }
+  for (const std::uint32_t d : divisors) {
+    const ReciprocalDivider div(d);
+    std::vector<std::uint32_t> numerators = {
+        0, d - 1, d, d + 1, 2 * d - 1, 2 * d, 0x7fffffffu, 0xffffffffu};
+    for (int i = 0; i < 8; ++i) {
+      numerators.push_back(static_cast<std::uint32_t>(rng.next()));
+    }
+    for (const std::uint32_t n : numerators) {
+      ASSERT_EQ(div(n), n / d) << n << " / " << d;
+    }
   }
 }
 
