@@ -70,6 +70,20 @@ void BM_ExtractFeaturesLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractFeaturesLarge)->Unit(benchmark::kMillisecond);
 
+void BM_ExtractFeaturesLargeBankSubset(benchmark::State& state) {
+  // What Wise::choose extracts for a bank that reads no column-presence
+  // feature (the pinned e2ebench banks): the column group is skipped.
+  const CsrMatrix& m = large_fixture_matrix();
+  const FeatureSet needed = all_features() & ~column_presence_features();
+  for (auto _ : state) {
+    const FeatureVector fv = extract_features(m, {}, needed);
+    benchmark::DoNotOptimize(fv.values.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m.nnz());
+  report_threads(state);
+}
+BENCHMARK(BM_ExtractFeaturesLargeBankSubset)->Unit(benchmark::kMillisecond);
+
 void BM_ExtractFeaturesLargeSerialRef(benchmark::State& state) {
   const CsrMatrix& m = large_fixture_matrix();
   for (auto _ : state) {
@@ -122,6 +136,24 @@ void BM_RowColStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RowColStats)->Unit(benchmark::kMillisecond);
+
+void BM_DistStats(benchmark::State& state) {
+  // One distribution's eight statistics on the large fixture: Arg 0 is R
+  // (straight from row_ptr), Arg 1 is C (from the column counts the
+  // tiling sweep would hand over).
+  const CsrMatrix& m = large_fixture_matrix();
+  static const std::vector<nnz_t> col_counts = m.col_counts();
+  const bool rows = state.range(0) == 0;
+  for (auto _ : state) {
+    const DistStats s =
+        rows ? row_dist_stats(m) : compute_dist_stats(col_counts);
+    benchmark::DoNotOptimize(s.gini);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (rows ? m.nrows() : m.ncols()));
+  report_threads(state);
+}
+BENCHMARK(BM_DistStats)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TreeInference(benchmark::State& state) {
   // A fitted tree of realistic size; inference must be microseconds.

@@ -44,6 +44,9 @@ std::vector<std::string> build_names() {
                           : "Gr" + std::to_string(x) + "_potReuse" + side);
     }
   }
+  if (names.size() != kNumFeatures) {
+    throw std::logic_error("feature_names: feature count drift");
+  }
   return names;
 }
 
@@ -104,12 +107,24 @@ const std::vector<std::string>& feature_names() {
   return names;
 }
 
-std::size_t feature_count() { return feature_names().size(); }
+std::size_t feature_count() { return kNumFeatures; }
+
+FeatureSet column_presence_features() {
+  // uniqC and potReuseC each follow a same-sized R block (see build_names).
+  constexpr std::size_t kUniqC = 3 + 5 * 8 + kGroupFactors.size();
+  constexpr std::size_t kPotReuseC = kUniqC + 2 * kGroupFactors.size();
+  FeatureSet set;
+  for (std::size_t x = 0; x < kGroupFactors.size(); ++x) {
+    set.set(kUniqC + x);
+    set.set(kPotReuseC + x);
+  }
+  return set;
+}
 
 DistStats row_dist_stats(const CsrMatrix& m) {
-  // Direct adjacent difference of row_ptr: contiguous loads and stores with
-  // no per-row indirection, so the loop vectorizes.
-  return compute_dist_stats(m.row_counts());
+  // Histogram of the row_ptr adjacent differences, with no row-count
+  // vector in between.
+  return compute_dist_stats_of_prefix(m.row_ptr());
 }
 
 DistStats col_dist_stats(const CsrMatrix& m) {
@@ -117,18 +132,28 @@ DistStats col_dist_stats(const CsrMatrix& m) {
 }
 
 FeatureVector extract_features(const CsrMatrix& m,
-                               const FeatureParams& params) {
+                               const FeatureParams& params,
+                               const FeatureSet& needed) {
   // Fused path: one parallel sweep produces tiles, blocks, presence sums,
   // and the column histogram; rows come from the row_ptr difference.
   obs::ScopedTimer total("features.extract");
+  const FeatureSet col_presence = column_presence_features();
+  const bool col_side = (needed & col_presence).any();
   const TilingResult tiling = [&] {
     obs::ScopedTimer span("features.extract.tiling");
-    return analyze_tiling(m, params.tile_grid);
+    return analyze_tiling(m, params.tile_grid, col_side);
   }();
   obs::ScopedTimer span("features.extract.stats");
   const DistStats row_stats = row_dist_stats(m);
   const DistStats col_stats = compute_dist_stats(tiling.col_counts);
-  return assemble_features(m, row_stats, col_stats, tiling);
+  FeatureVector fv = assemble_features(m, row_stats, col_stats, tiling);
+  if (!col_side) {
+    fv.computed &= ~col_presence;
+    for (std::size_t i = 0; i < kNumFeatures; ++i) {
+      if (!fv.computed[i]) fv.values[i] = kSkippedFeature;
+    }
+  }
+  return fv;
 }
 
 FeatureVector extract_features_reference(const CsrMatrix& m,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <memory>
 #include <omp.h>
+#include <utility>
+#include <vector>
 
 namespace wise {
 
@@ -24,48 +26,31 @@ constexpr std::size_t kParallelThreshold = std::size_t{1} << 15;
 /// a comparison sort of the nonempty masses.
 constexpr nnz_t kHistAbsoluteMax = nnz_t{1} << 26;
 
+using Runs = std::vector<std::pair<nnz_t, nnz_t>>;  ///< (value, multiplicity)
+
+/// The moments the finalization needs, read off the ascending runs of the
+/// nonempty masses: exact integers, so equal to any per-element
+/// accumulation of the same multiset.
 struct BasicAgg {
   uint128 total = 0;     ///< sum of masses
   uint128 total_sq = 0;  ///< sum of squared masses
   nnz_t max_value = 0;
-  nnz_t min_positive = std::numeric_limits<nnz_t>::max();
+  nnz_t min_positive = 0;
   nnz_t n_nonempty = 0;
 
-  void add(nnz_t v) {
-    if (v == 0) return;
-    total += static_cast<uint128>(v);
-    total_sq += static_cast<uint128>(v) * static_cast<uint128>(v);
-    max_value = std::max(max_value, v);
-    min_positive = std::min(min_positive, v);
-    ++n_nonempty;
-  }
-  void merge(const BasicAgg& o) {
-    total += o.total;
-    total_sq += o.total_sq;
-    max_value = std::max(max_value, o.max_value);
-    min_positive = std::min(min_positive, o.min_positive);
-    n_nonempty += o.n_nonempty;
+  explicit BasicAgg(const Runs& asc_runs) {
+    for (const auto& [v, h] : asc_runs) {
+      const auto uv = static_cast<uint128>(v);
+      total += uv * static_cast<uint128>(h);
+      total_sq += uv * uv * static_cast<uint128>(h);
+      n_nonempty += h;
+    }
+    if (!asc_runs.empty()) {
+      min_positive = asc_runs.front().first;
+      max_value = asc_runs.back().first;
+    }
   }
 };
-
-/// Order-independent moment accumulation (the "parallel moments" half of
-/// the stats pipeline). Integer merges commute, so the critical-section
-/// merge order cannot change the result.
-BasicAgg accumulate_basic(const std::vector<nnz_t>& counts) {
-  BasicAgg g;
-  const auto n = static_cast<std::int64_t>(counts.size());
-#pragma omp parallel if (counts.size() >= kParallelThreshold)
-  {
-    BasicAgg local;
-#pragma omp for nowait schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      local.add(counts[static_cast<std::size_t>(i)]);
-    }
-#pragma omp critical(wise_stats_basic_merge)
-    g.merge(local);
-  }
-  return g;
-}
 
 /// Gini numerator: W = sum over ascending ranks 1..n of rank * mass, where
 /// the n_zero empty buckets occupy the lowest ranks and contribute nothing.
@@ -90,9 +75,8 @@ struct GiniAcc {
 /// runs; within a run of h copies of v starting after rank k0 with prefix
 /// cum0, the condition linearizes to k * (v*n + total) >= total*n - cum0*n
 /// + k0*v*n, solved by one ceiling division.
-double exact_pratio_from_desc_runs(
-    const std::vector<std::pair<nnz_t, nnz_t>>& desc_runs, uint128 total,
-    nnz_t n) {
+double exact_pratio_from_desc_runs(const Runs& desc_runs, uint128 total,
+                                   nnz_t n) {
   const auto un = static_cast<uint128>(n);
   uint128 cum0 = 0;
   nnz_t k0 = 0;
@@ -115,12 +99,11 @@ double exact_pratio_from_desc_runs(
   return 0.5;
 }
 
-/// Shared finalization from ascending runs of (value, multiplicity).
-DistStats stats_from_runs(const std::vector<std::pair<nnz_t, nnz_t>>& asc_runs,
-                          const BasicAgg& agg, nnz_t n) {
+/// Shared finalization from the ascending runs of the nonempty masses of
+/// an n-bucket distribution; `asc_runs` must not be empty.
+DistStats stats_from_runs(const Runs& asc_runs, nnz_t n) {
+  const BasicAgg agg(asc_runs);
   DistStats s;
-  if (n <= 0) return s;
-
   const nnz_t n_zero = n - agg.n_nonempty;
   const auto dn = static_cast<double>(n);
   const auto dtotal = static_cast<double>(agg.total);
@@ -128,19 +111,9 @@ DistStats stats_from_runs(const std::vector<std::pair<nnz_t, nnz_t>>& asc_runs,
   s.variance = std::max(0.0, static_cast<double>(agg.total_sq) / dn -
                                  s.mean * s.mean);
   s.stddev = std::sqrt(s.variance);
-  s.min = n_zero > 0 ? 0.0
-                     : (agg.n_nonempty > 0
-                            ? static_cast<double>(agg.min_positive)
-                            : 0.0);
+  s.min = n_zero > 0 ? 0.0 : static_cast<double>(agg.min_positive);
   s.max = static_cast<double>(agg.max_value);
   s.nonempty = static_cast<double>(agg.n_nonempty);
-
-  if (agg.total == 0) {
-    // No mass at all: define G=0, P=0.5 (perfectly balanced emptiness).
-    s.gini = 0.0;
-    s.pratio = 0.5;
-    return s;
-  }
 
   // Gini over the full distribution (zeros included): with ascending order
   // x_1..x_n, G = (2 * sum(i * x_i)) / (n * sum(x)) - (n + 1) / n.
@@ -151,36 +124,74 @@ DistStats stats_from_runs(const std::vector<std::pair<nnz_t, nnz_t>>& asc_runs,
                           (dn + 1.0) / dn,
                       0.0, 1.0);
 
-  std::vector<std::pair<nnz_t, nnz_t>> desc_runs(asc_runs.rbegin(),
-                                                 asc_runs.rend());
+  const Runs desc_runs(asc_runs.rbegin(), asc_runs.rend());
   s.pratio = exact_pratio_from_desc_runs(desc_runs, agg.total, n);
   return s;
 }
 
-/// Counting-sort path: build a mass histogram in parallel (per-thread
-/// histograms merged with order-independent integer sums), then read the
-/// ascending runs straight off it. O(n + max_value) work, no sort.
-std::vector<std::pair<nnz_t, nnz_t>> runs_from_histogram(
-    const std::vector<nnz_t>& counts, nnz_t max_value) {
+/// Bucket b's mass of a dense distribution.
+struct DenseMass {
+  const nnz_t* counts;
+  nnz_t operator()(std::size_t b) const { return counts[b]; }
+};
+
+/// Bucket b's mass of a distribution given as a prefix sum.
+struct PrefixMass {
+  const nnz_t* prefix;
+  nnz_t operator()(std::size_t b) const { return prefix[b + 1] - prefix[b]; }
+};
+
+template <class Mass>
+nnz_t max_mass(std::size_t size, Mass mass) {
+  nnz_t mx = 0;
+  const auto n = static_cast<std::int64_t>(size);
+#pragma omp parallel for reduction(max : mx) schedule(static) \
+    if (size >= kParallelThreshold)
+  for (std::int64_t i = 0; i < n; ++i) {
+    mx = std::max(mx, mass(static_cast<std::size_t>(i)));
+  }
+  return mx;
+}
+
+/// Counting-sort path: one pass builds the mass histogram and the
+/// ascending runs are read straight off it. O(size + max_value) work, no
+/// sort. On large inputs each thread fills a private histogram and the
+/// threads then sum them slice by slice — integer sums, so the partition
+/// cannot change the result. A range wider than the input would cost more
+/// to clear and merge per thread than it saves, so it stays serial.
+template <class Mass>
+Runs runs_from_histogram(std::size_t size, Mass mass, nnz_t max_value) {
   const auto range = static_cast<std::size_t>(max_value) + 1;
   std::vector<nnz_t> hist(range, 0);
-  const auto n = static_cast<std::int64_t>(counts.size());
-  if (counts.size() >= kParallelThreshold && omp_get_max_threads() > 1) {
-#pragma omp parallel
+  const int threads = omp_get_max_threads();
+  if (size >= kParallelThreshold && threads > 1 && range <= size) {
+    const auto n = static_cast<std::int64_t>(size);
+    std::unique_ptr<nnz_t[]> local(
+        new nnz_t[static_cast<std::size_t>(threads) * range]);
+#pragma omp parallel num_threads(threads)
     {
-      std::vector<nnz_t> local(range, 0);
-#pragma omp for nowait schedule(static)
+      const auto nt = static_cast<std::size_t>(omp_get_num_threads());
+      nnz_t* h = local.get() +
+                 static_cast<std::size_t>(omp_get_thread_num()) * range;
+      std::fill(h, h + range, nnz_t{0});
+#pragma omp for schedule(static)
       for (std::int64_t i = 0; i < n; ++i) {
-        ++local[static_cast<std::size_t>(counts[static_cast<std::size_t>(i)])];
+        ++h[static_cast<std::size_t>(mass(static_cast<std::size_t>(i)))];
       }
-#pragma omp critical(wise_stats_hist_merge)
-      for (std::size_t v = 0; v < range; ++v) hist[v] += local[v];
+#pragma omp for schedule(static)
+      for (std::size_t v = 0; v < range; ++v) {
+        nnz_t sum = 0;
+        for (std::size_t t = 0; t < nt; ++t) sum += local[t * range + v];
+        hist[v] = sum;
+      }
     }
   } else {
-    for (nnz_t c : counts) ++hist[static_cast<std::size_t>(c)];
+    for (std::size_t i = 0; i < size; ++i) {
+      ++hist[static_cast<std::size_t>(mass(i))];
+    }
   }
 
-  std::vector<std::pair<nnz_t, nnz_t>> runs;
+  Runs runs;
   for (std::size_t v = 1; v < range; ++v) {
     if (hist[v] != 0) runs.emplace_back(static_cast<nnz_t>(v), hist[v]);
   }
@@ -189,16 +200,16 @@ std::vector<std::pair<nnz_t, nnz_t>> runs_from_histogram(
 
 /// Comparison-sort fallback for distributions whose masses are large
 /// relative to the bucket count (e.g. the K row/column block sums).
-std::vector<std::pair<nnz_t, nnz_t>> runs_from_sort(
-    const std::vector<nnz_t>& counts) {
+template <class Mass>
+Runs runs_from_sort(std::size_t size, Mass mass) {
   std::vector<nnz_t> positive;
-  positive.reserve(counts.size());
-  for (nnz_t v : counts) {
-    if (v != 0) positive.push_back(v);
+  positive.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    if (const nnz_t v = mass(i); v != 0) positive.push_back(v);
   }
   std::sort(positive.begin(), positive.end());
 
-  std::vector<std::pair<nnz_t, nnz_t>> runs;
+  Runs runs;
   for (std::size_t i = 0; i < positive.size();) {
     std::size_t j = i;
     while (j < positive.size() && positive[j] == positive[i]) ++j;
@@ -208,43 +219,49 @@ std::vector<std::pair<nnz_t, nnz_t>> runs_from_sort(
   return runs;
 }
 
-DistStats dist_stats_impl(const std::vector<nnz_t>& counts, nnz_t n) {
-  DistStats s;
-  if (n <= 0) return s;
-
-  const BasicAgg agg = accumulate_basic(counts);
-  if (agg.n_nonempty == 0) {
-    s.pratio = 0.5;
-    return s;
-  }
+/// Stats of the `size` masses mass(0..size-1) spread over n >= size
+/// buckets (the rest implicitly empty).
+template <class Mass>
+DistStats dist_stats_impl(std::size_t size, Mass mass, nnz_t n) {
+  if (n <= 0) return {};
+  const nnz_t max_value = max_mass(size, mass);
+  if (max_value == 0) return {};  // no mass: all zero, pratio 0.5
 
   const auto hist_limit = std::min<nnz_t>(
       kHistAbsoluteMax,
-      std::max<nnz_t>(nnz_t{1} << 16, 4 * static_cast<nnz_t>(counts.size())));
-  const auto runs = agg.max_value <= hist_limit
-                        ? runs_from_histogram(counts, agg.max_value)
-                        : runs_from_sort(counts);
-  return stats_from_runs(runs, agg, n);
+      std::max<nnz_t>(nnz_t{1} << 16, 4 * static_cast<nnz_t>(size)));
+  const Runs runs = max_value <= hist_limit
+                        ? runs_from_histogram(size, mass, max_value)
+                        : runs_from_sort(size, mass);
+  return stats_from_runs(runs, n);
 }
 
 }  // namespace
 
-DistStats compute_dist_stats(const std::vector<nnz_t>& counts) {
-  return dist_stats_impl(counts, static_cast<nnz_t>(counts.size()));
+DistStats compute_dist_stats(std::span<const nnz_t> counts) {
+  return dist_stats_impl(counts.size(), DenseMass{counts.data()},
+                         static_cast<nnz_t>(counts.size()));
 }
 
-DistStats compute_dist_stats_sparse(std::vector<nnz_t> nonempty_counts,
+DistStats compute_dist_stats_of_prefix(std::span<const nnz_t> prefix) {
+  const std::size_t size = prefix.empty() ? 0 : prefix.size() - 1;
+  return dist_stats_impl(size, PrefixMass{prefix.data()},
+                         static_cast<nnz_t>(size));
+}
+
+DistStats compute_dist_stats_sparse(std::span<const nnz_t> nonempty_counts,
                                     nnz_t total_buckets) {
-  // Zeros slipping into the "nonempty" list are tolerated: the aggregates
-  // and both run builders skip them.
-  return dist_stats_impl(nonempty_counts, total_buckets);
+  // Zeros slipping into the "nonempty" list are tolerated: both run
+  // builders skip them.
+  return dist_stats_impl(nonempty_counts.size(),
+                         DenseMass{nonempty_counts.data()}, total_buckets);
 }
 
-double gini_coefficient(std::vector<nnz_t> counts) {
+double gini_coefficient(std::span<const nnz_t> counts) {
   return compute_dist_stats(counts).gini;
 }
 
-double p_ratio(std::vector<nnz_t> counts) {
+double p_ratio(std::span<const nnz_t> counts) {
   return compute_dist_stats(counts).pratio;
 }
 

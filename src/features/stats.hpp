@@ -13,7 +13,8 @@
 // buckets holds the (1-p) fraction of the mass; 0.5 when balanced,
 // approaching 0 under extreme skew.
 
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 #include "util/types.hpp"
 
@@ -32,28 +33,55 @@ struct DistStats {
 };
 
 /// Statistics of a dense distribution: counts[b] is bucket b's mass.
-/// An empty vector yields all-zero stats with pratio 0.5.
+/// An empty distribution yields all-zero stats with pratio 0.5.
 ///
-/// Implementation contract: all aggregates are accumulated in exact integer
-/// arithmetic (128-bit where products may overflow), so the result is a pure
-/// function of the count multiset — bit-identical at every OpenMP thread
-/// count. Moments are parallel reductions; the ordered statistics (Gini,
-/// p-ratio, min/max) come from a counting sort when the masses are small
-/// integers (rows/columns/tiles in practice) and from a comparison sort of
-/// the nonempty masses otherwise.
-DistStats compute_dist_stats(const std::vector<nnz_t>& counts);
+/// Implementation contract: all aggregates are exact integers (128-bit
+/// where products may overflow), so the result is a pure function of the
+/// count multiset — bit-identical at every OpenMP thread count. One max
+/// pass sizes a value histogram; when the masses are small integers
+/// (rows/columns/tiles in practice) one histogram pass, parallel on large
+/// inputs, yields every statistic: the total, sum of squares, min, max
+/// and nonempty count from its runs as well as the ordered statistics
+/// (Gini, p-ratio). Larger masses fall back to a comparison sort of the
+/// nonempty masses, read the same way.
+DistStats compute_dist_stats(std::span<const nnz_t> counts);
+
+/// Statistics of the distribution of adjacent differences
+/// prefix[b+1] - prefix[b] — e.g. nonzeros per row from a CSR row_ptr —
+/// without materializing the differences. `prefix` must be nondecreasing;
+/// an empty or one-entry prefix describes an empty distribution.
+DistStats compute_dist_stats_of_prefix(std::span<const nnz_t> prefix);
 
 /// Statistics of a sparsely-represented distribution: `nonempty_counts`
 /// lists the positive bucket masses (any order); `total_buckets` includes
 /// the implicit zero buckets. Used for the tile (T) distribution where the
 /// K^2 bucket space is far larger than the number of occupied tiles.
-DistStats compute_dist_stats_sparse(std::vector<nnz_t> nonempty_counts,
+DistStats compute_dist_stats_sparse(std::span<const nnz_t> nonempty_counts,
                                     nnz_t total_buckets);
 
 /// Gini coefficient of a distribution given in any order. Exposed for tests.
-double gini_coefficient(std::vector<nnz_t> counts);
+double gini_coefficient(std::span<const nnz_t> counts);
 
 /// p-ratio of a distribution given in any order. Exposed for tests.
-double p_ratio(std::vector<nnz_t> counts);
+double p_ratio(std::span<const nnz_t> counts);
+
+// Braced-list spellings of the above, e.g. gini_coefficient({1, 5, 3}).
+inline DistStats compute_dist_stats(std::initializer_list<nnz_t> counts) {
+  return compute_dist_stats(
+      std::span<const nnz_t>(counts.begin(), counts.size()));
+}
+inline DistStats compute_dist_stats_sparse(
+    std::initializer_list<nnz_t> nonempty_counts, nnz_t total_buckets) {
+  return compute_dist_stats_sparse(
+      std::span<const nnz_t>(nonempty_counts.begin(), nonempty_counts.size()),
+      total_buckets);
+}
+inline double gini_coefficient(std::initializer_list<nnz_t> counts) {
+  return gini_coefficient(
+      std::span<const nnz_t>(counts.begin(), counts.size()));
+}
+inline double p_ratio(std::initializer_list<nnz_t> counts) {
+  return p_ratio(std::span<const nnz_t>(counts.begin(), counts.size()));
+}
 
 }  // namespace wise

@@ -23,16 +23,17 @@
 // pairs, only aggregated along different axes.
 //
 // Parallelization and determinism: rows are partitioned into contiguous
-// chunks aligned to tile-row boundaries and balanced by nonzero count, so
-// every (group, tile-row, tile-column) presence triple is counted by exactly
-// one chunk. All per-chunk counters are integers merged in chunk order,
-// which makes every field of TilingResult — including the order of
-// tile_counts — a pure function of the matrix, independent of the OpenMP
-// thread count. The column side is computed in the same sweep: each
-// stripe of rows sharing a tile row marks its touched columns in a
-// per-stripe column bitmap, and at the stripe's end an OR-fold plus masked
-// popcount counts the nonempty (column-group × tile-column) cells; no
-// transpose is ever materialized.
+// chunks aligned to tile-row boundaries and balanced by an estimated cost
+// that counts rows as well as nonzeros, so every (group, tile-row,
+// tile-column) presence triple is counted by exactly one chunk. All
+// per-chunk counters are integers merged in chunk order, which makes every
+// field of TilingResult — including the order of tile_counts — a pure
+// function of the matrix, independent of the OpenMP thread count. The
+// column side is computed in the same sweep: each stripe of rows sharing a
+// tile row marks its touched columns in a per-stripe column bitmap, and at
+// the stripe's end an OR-fold plus masked popcount counts the nonempty
+// (column-group × tile-column) cells; no transpose is ever materialized. A
+// caller that needs no column presence turns the column side off.
 
 #include <array>
 #include <vector>
@@ -63,6 +64,7 @@ struct TilingResult {
   std::vector<nnz_t> col_counts;
 
   /// presence sums per grouping factor, same order as kGroupFactors.
+  /// col_presence is left zero when the column side is turned off.
   std::array<nnz_t, kGroupFactors.size()> row_presence{};
   std::array<nnz_t, kGroupFactors.size()> col_presence{};
 
@@ -79,8 +81,12 @@ struct TilingResult {
 index_t default_tile_grid(index_t nrows, index_t ncols);
 
 /// Runs the fused single-pass tiling analysis (parallel, transpose-free).
-/// k == 0 selects default_tile_grid.
-TilingResult analyze_tiling(const CsrMatrix& m, index_t k = 0);
+/// k == 0 selects default_tile_grid. With `column_presence` false the sweep
+/// skips the column side of the presence sums — no column bitmap is
+/// allocated or stored to and no stripe-end scan runs — and col_presence
+/// stays zero; every other field is unchanged.
+TilingResult analyze_tiling(const CsrMatrix& m, index_t k = 0,
+                            bool column_presence = true);
 
 /// Serial reference implementation: the original forward sweep plus an
 /// explicit transpose and backward sweep. Kept as the oracle for the

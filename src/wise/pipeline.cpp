@@ -1,5 +1,6 @@
 #include "wise/pipeline.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <new>
 #include <stdexcept>
@@ -64,6 +65,16 @@ MethodConfig best_csr_config(const ModelBank& bank) {
   return best != nullptr ? *best : MethodConfig{};
 }
 
+std::vector<double> WiseChoice::full_features(const CsrMatrix& m) const {
+  if (features == nullptr) return {};
+  if (features_complete) return *features;
+  std::vector<double> full = extract_features(m, feature_params).values;
+  full.insert(full.end(), features->begin() + static_cast<std::ptrdiff_t>(
+                                                  kNumFeatures),
+              features->end());
+  return full;
+}
+
 Wise::Wise(ModelBank bank) : bank_(std::move(bank)) {
   if (!bank_.trained()) {
     throw std::invalid_argument("Wise: model bank is not trained");
@@ -89,9 +100,11 @@ WiseChoice Wise::choose(const CsrMatrix& m, double horizon) const {
     obs::ScopedTimer span("wise.choose.feature");
     FaultInjector::global().maybe_throw(stage::kFeature,
                                         ErrorCategory::kValidation);
-    features = extract_features(m, feature_params);
-    for (double v : features.values) {
-      if (!std::isfinite(v)) {
+    features = extract_features(m, feature_params, bank_.read_features());
+    // Extraction skips only groups the trees never read.
+    assert((bank_.read_features() & ~features.computed).none());
+    for (std::size_t i = 0; i < features.values.size(); ++i) {
+      if (features.computed[i] && !std::isfinite(features.values[i])) {
         throw Error(ErrorCategory::kValidation, "non-finite feature value",
                     {.stage = stage::kFeature});
       }
@@ -134,6 +147,8 @@ WiseChoice Wise::choose(const CsrMatrix& m, double horizon) const {
   choice.inference_seconds = t.seconds();
   choice.features = std::make_shared<const std::vector<double>>(
       std::move(features.values));
+  choice.features_complete = features.computed.all();
+  choice.feature_params = feature_params;
   return choice;
 }
 

@@ -66,14 +66,28 @@ struct WiseChoice {
   std::string fallback_reason;
 
   /// The feature vector inference ran on, kept for the online-learning
-  /// loop (src/learn/): a served RUN of this choice is a free labeled
-  /// sample, and re-extracting features would cost the O(nnz) sweep the
-  /// cache exists to avoid. Null on the fallback paths (nothing was
-  /// predicted, so there is nothing to learn from). Shared, not copied:
-  /// the vector rides along through both serve cache tiers.
+  /// loop (src/learn/): a served RUN of this choice is a labeled sample.
+  /// Null on the fallback paths (nothing was predicted, so there is
+  /// nothing to learn from). Shared, not copied: the vector rides along
+  /// through both serve cache tiers. It holds either every matrix feature
+  /// or only those the bank reads (see features_complete), followed by
+  /// the machine features of a hardware-conditioned bank.
   std::shared_ptr<const std::vector<double>> features;
+  /// True when `features` carries all 67 matrix features. False when it
+  /// carries only the ones the bank's trees read: Wise::choose extracts
+  /// no more, and the other slots hold kSkippedFeature.
+  bool features_complete = true;
+  /// The extraction parameters `features` was computed with.
+  FeatureParams feature_params;
 
   bool fell_back() const { return !fallback_reason.empty(); }
+
+  /// `features` with every matrix feature: a copy when it is complete,
+  /// otherwise re-extracted from `m` — the matrix this choice was made
+  /// on — with the machine-feature tail carried over. Empty without
+  /// features. A retrain may split on any feature, so what the
+  /// online-learning log stores comes from here.
+  std::vector<double> full_features(const CsrMatrix& m) const;
 };
 
 class Wise {
@@ -82,7 +96,8 @@ class Wise {
   explicit Wise(ModelBank bank);
 
   /// Runs feature extraction + model inference + select_config over the
-  /// configurations applicable to `m`, for `horizon` SpMV runs. Never
+  /// configurations applicable to `m`, for `horizon` SpMV runs. Extracts
+  /// only the features the bank reads (ModelBank::read_features). Never
   /// throws on data-driven failures: a failing stage demotes the choice to
   /// the best CSR configuration (see WiseChoice::fallback_reason). Throws
   /// std::invalid_argument on a horizon that is not > 0.
@@ -111,6 +126,10 @@ class Wise {
   std::size_t memory_budget_bytes = 0;
 
  private:
+  /// Also decides what choose() extracts (read_features()); that set is
+  /// deliberately not part of feature_params, so a Wise that copies
+  /// another's knobs onto a retrained bank still extracts what its own
+  /// trees read.
   ModelBank bank_;
 };
 

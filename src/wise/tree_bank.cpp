@@ -92,6 +92,7 @@ void TreeBankCore::train_prep(
                                             prep_targets, params, kPrepHead);
   prep_flat_ = FlatTreeEnsemble::build(prep);
   prep_trees_ = std::move(prep);
+  derive_reads();
 }
 
 void TreeBankCore::set_trees(std::vector<DecisionTree> trees,
@@ -108,6 +109,21 @@ void TreeBankCore::set_trees(std::vector<DecisionTree> trees,
   trees_ = std::move(trees);
   prep_trees_ = std::move(prep_trees);
   feature_dim_ = feature_dim;
+  derive_reads();
+}
+
+void TreeBankCore::derive_reads() {
+  reads_.reset();
+  for (const auto* head : {&trees_, &prep_trees_}) {
+    for (const DecisionTree& tree : *head) {
+      for (const DecisionTree::Node& node : tree.nodes()) {
+        if (node.feature >= 0 &&
+            static_cast<std::size_t>(node.feature) < kNumFeatures) {
+          reads_.set(static_cast<std::size_t>(node.feature));
+        }
+      }
+    }
+  }
 }
 
 std::size_t TreeBankCore::feature_dim() const {
@@ -270,6 +286,7 @@ void TreeBankCore::load_file(
   }
   flat_ = FlatTreeEnsemble::build(trees_);
   if (f.has_prep(version)) load_prep(in, n, kept, path);
+  derive_reads();
 }
 
 void TreeBankCore::load_prep(std::istream& in, std::size_t n,

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "features/extractor.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/flat_tree.hpp"
 #include "wise/speedup_class.hpp"
@@ -103,6 +104,11 @@ class TreeBankCore {
   /// on a vector of any other width.
   std::size_t feature_dim() const;
 
+  /// The matrix features (indices below kNumFeatures) that some tree of
+  /// either head splits on: all that inference reads of an extraction.
+  /// Derived whenever the trees change; the file format does not record it.
+  const FeatureSet& read_features() const { return reads_; }
+
   const std::vector<DecisionTree>& trees() const { return trees_; }
   const FlatTreeEnsemble& flat() const { return flat_; }
   bool trained() const { return !trees_.empty(); }
@@ -160,6 +166,8 @@ class TreeBankCore {
 
  private:
   void check_width(std::span<const double> features) const;
+  /// Recomputes reads_ from both heads.
+  void derive_reads();
   /// Reads a v<prep_since>+ file's prep section for the configurations
   /// `names` kept from the speed section. Damage or misalignment drops
   /// the prep head with one warning; it never throws.
@@ -174,6 +182,7 @@ class TreeBankCore {
   FlatTreeEnsemble prep_flat_;
   std::vector<std::string> warnings_;
   std::size_t feature_dim_ = 0;  ///< 0 = the default 67 matrix features
+  FeatureSet reads_;
 };
 
 }  // namespace detail

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <set>
 
 #include <omp.h>
 
 #include "features/extractor.hpp"
+#include "golden_corpus.hpp"
 #include "test_util.hpp"
+#include "wise/pipeline.hpp"
 
 namespace wise {
 namespace {
@@ -195,6 +200,130 @@ TEST(Features, TileGridOverrideIsHonored) {
   // ne_T is bounded by K^2 = 4 for the coarse grid.
   EXPECT_LE(feature(f_coarse, "ne_T"), 4.0);
   EXPECT_GT(feature(f_fine, "ne_T"), feature(f_coarse, "ne_T"));
+}
+
+/// The feature set a bank that reads no column-presence feature asks for.
+FeatureSet without_column_presence() {
+  return all_features() & ~column_presence_features();
+}
+
+/// Bitwise equality of two doubles (NaN-safe, and -0.0 != 0.0).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Features, ColumnPresenceGroupIsUniqCAndPotReuseC) {
+  const auto& names = feature_names();
+  const FeatureSet group = column_presence_features();
+  EXPECT_EQ(group.count(), 2 * kGroupFactors.size());
+  for (std::size_t i = 0; i < kNumFeatures; ++i) {
+    const bool col_side = names[i].find("uniqC") != std::string::npos ||
+                          names[i].find("potReuseC") != std::string::npos;
+    EXPECT_EQ(group[i], col_side) << names[i];
+  }
+  EXPECT_TRUE(group[49]) << names[49];
+}
+
+TEST(Features, SubsetEqualsFullOnEveryComputedSlot) {
+  // A subset extraction skips only the column presence and reproduces
+  // every other feature of the full vector bit for bit, at any thread
+  // count; the skipped slots hold the sentinel.
+  const int saved_threads = omp_get_max_threads();
+  const FeatureSet needed = without_column_presence();
+  for (const auto& [name, m] : testing::golden_corpus()) {
+    const FeatureVector ref = extract_features_reference(m);
+    for (int threads : {1, 2, 8}) {
+      omp_set_num_threads(threads);
+      const FeatureVector full = extract_features(m);
+      const FeatureVector sub = extract_features(m, {}, needed);
+      EXPECT_TRUE(full.computed.all());
+      EXPECT_EQ(full.values, ref.values) << name << " at " << threads;
+      EXPECT_EQ(sub.computed, needed) << name;
+      ASSERT_EQ(sub.size(), feature_count());
+      for (std::size_t i = 0; i < feature_count(); ++i) {
+        if (sub.computed[i]) {
+          EXPECT_TRUE(same_bits(sub[i], full[i]))
+              << name << " " << feature_names()[i] << " at " << threads;
+        } else {
+          EXPECT_TRUE(std::isnan(sub[i])) << name << " " << i;
+        }
+      }
+    }
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+TEST(Features, AnyNeededColumnFeatureComputesTheWholeGroup) {
+  const CsrMatrix m = random_csr(300, 280, 6.0, 41);
+  FeatureSet needed;
+  needed.set(2);
+  needed.set(61);  // potReuseC alone pulls in the whole column side
+  const FeatureVector fv = extract_features(m, {}, needed);
+  EXPECT_TRUE(fv.computed.all());
+  EXPECT_EQ(fv.values, extract_features_reference(m).values);
+}
+
+/// A bank with one stump per configuration, each splitting on `feature`.
+ModelBank stump_bank(int feature) {
+  Dataset ds(feature_names(), 2);
+  for (int label : {0, 1}) {
+    std::vector<double> x(feature_count(), 1.0);
+    x[static_cast<std::size_t>(feature)] = label;
+    ds.add(x, label);
+  }
+  DecisionTree stump;
+  stump.fit(ds, {.max_depth = 1, .ccp_alpha = 0.0});
+  EXPECT_EQ(stump.nodes().at(0).feature, feature);
+  const auto configs = all_method_configs();
+  return ModelBank::assemble(
+      configs, std::vector<DecisionTree>(configs.size(), stump));
+}
+
+TEST(Features, BankReadingUniqCGetsTheFullColumnSide) {
+  const ModelBank bank = stump_bank(49);  // uniqC
+  EXPECT_TRUE(bank.read_features()[49]);
+  EXPECT_EQ(bank.read_features().count(), 1u);
+  const Wise wise(bank);
+  for (const auto& [name, m] : testing::golden_corpus()) {
+    const WiseChoice choice = wise.choose(m);
+    ASSERT_FALSE(choice.fell_back()) << name << ": " << choice.fallback_reason;
+    ASSERT_NE(choice.features, nullptr);
+    EXPECT_TRUE(choice.features_complete) << name;
+    EXPECT_EQ(*choice.features, extract_features_reference(m).values) << name;
+  }
+}
+
+TEST(Features, WiseExtractsOnlyWhatThePinnedBankReads) {
+  // The pinned benchmark bank: every slot a tree of either head splits on
+  // is computed, bit-identical to the reference, and nothing else is paid
+  // for when the bank leaves the column group unread.
+  const ModelBank bank = ModelBank::load(
+      (std::filesystem::path(WISE_TEST_DATA_DIR) / ".." / ".." / "e2ebench" /
+       "bank")
+          .string());
+  const FeatureSet reads = bank.read_features();
+  const bool skips_column_side = (reads & column_presence_features()).none();
+  const Wise wise(bank);
+  for (const auto& [name, m] : testing::golden_corpus()) {
+    const WiseChoice choice = wise.choose(m);
+    ASSERT_FALSE(choice.fell_back()) << name << ": " << choice.fallback_reason;
+    ASSERT_NE(choice.features, nullptr);
+    EXPECT_EQ(choice.features_complete, !skips_column_side) << name;
+    const std::vector<double>& got = *choice.features;
+    const std::vector<double> ref = extract_features_reference(m).values;
+    for (const auto* head : {&bank.trees(), &bank.prep_trees()}) {
+      for (const DecisionTree& tree : *head) {
+        for (const DecisionTree::Node& node : tree.nodes()) {
+          if (node.feature < 0) continue;
+          const auto f = static_cast<std::size_t>(node.feature);
+          ASSERT_TRUE(reads[f]) << "read set misses feature " << f;
+          EXPECT_TRUE(same_bits(got[f], ref[f]))
+              << name << " " << feature_names()[f];
+        }
+      }
+    }
+    EXPECT_EQ(choice.full_features(m), ref) << name;
+  }
 }
 
 }  // namespace
