@@ -54,6 +54,12 @@ void ChoiceCache::put(const Fingerprint& fp, const WiseChoice& choice) {
   map_.put(fp, choice, 1);  // count-bounded: every choice costs 1
 }
 
+const std::vector<double>& PreparedEntry::full_features() const {
+  std::call_once(full_features_once_,
+                 [this] { full_features_ = choice.full_features(*matrix); });
+  return full_features_;
+}
+
 std::size_t prepared_entry_bytes(const CsrMatrix& m, const PreparedMatrix& pm) {
   return m.memory_bytes() + pm.owned_bytes();
 }

@@ -38,7 +38,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <vector>
 
 #include "serve/fingerprint.hpp"
 #include "spmv/executor.hpp"
@@ -90,8 +92,9 @@ class ChoiceCache {
 /// One cached prepared matrix: the owned source CSR (PreparedMatrix
 /// references it for CSR configs), the converted layout, the choice that
 /// produced it, and the footprint it was charged at insertion. Immutable
-/// once published — RUNs execute it through the const-thread-safe
-/// PreparedMatrix::run overload with a per-thread workspace.
+/// once published, bar the full_features() memo — RUNs execute it through
+/// the const-thread-safe PreparedMatrix::run overload with a per-thread
+/// workspace.
 struct PreparedEntry {
   std::shared_ptr<const CsrMatrix> matrix;
   PreparedMatrix prepared;
@@ -102,6 +105,17 @@ struct PreparedEntry {
   /// predicted it (a swap mid-flight must not poison the new bank's
   /// guardrail window).
   std::uint64_t bank_version = 0;
+
+  /// `choice`'s feature vector with every matrix feature
+  /// (WiseChoice::full_features on `matrix`). A subset vector is completed
+  /// by the first call and the result is kept, so the online-learning
+  /// loop pays one more extraction per entry, not per sampled request.
+  /// Thread-safe; a call that throws leaves the next one to retry.
+  const std::vector<double>& full_features() const;
+
+ private:
+  mutable std::once_flag full_features_once_;
+  mutable std::vector<double> full_features_;
 };
 
 /// Actual footprint an entry is charged: the owned CSR plus what the

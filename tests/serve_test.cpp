@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "features/extractor.hpp"
 #include "serve/cache.hpp"
 #include "serve/fingerprint.hpp"
 #include "spmv/bsr.hpp"
@@ -135,6 +136,21 @@ std::shared_ptr<PreparedEntry> make_entry(index_t n, std::uint64_t seed) {
   entry->choice = WiseChoice{};
   entry->bytes = prepared_entry_bytes(*m, entry->prepared);
   return entry;
+}
+
+TEST(PreparedCache, EntryCompletesASubsetFeatureVectorOnce) {
+  auto entry = make_entry(300, 9);
+  const CsrMatrix& m = *entry->matrix;
+  FeatureVector subset = extract_features(
+      m, {}, all_features() & ~column_presence_features());
+  entry->choice.features_complete = false;
+  entry->choice.features =
+      std::make_shared<const std::vector<double>>(std::move(subset.values));
+
+  const std::vector<double>& first = entry->full_features();
+  EXPECT_EQ(first, extract_features(m).values);
+  // Later calls reuse the completed vector instead of extracting again.
+  EXPECT_EQ(&entry->full_features(), &first);
 }
 
 TEST(PreparedCache, ByteBudgetEvictsLeastRecentlyUsedDeterministically) {
