@@ -29,6 +29,11 @@ namespace {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
+/// Set while a non-draining shutdown completes the requests it took back
+/// from the queue on its own thread: those fail fast, while a request a
+/// worker had already dequeued runs to completion.
+thread_local bool tl_cancelling = false;
+
 // Ids interned once per process (first Server construction). By-name
 // metric calls go through the registry mutex; the request path records
 // exclusively through these pre-interned ids, which only touch the calling
@@ -81,8 +86,7 @@ std::uint64_t record_since(obs::MetricId id,
 
 /// Resolved shard count: explicit values round down to a power of two in
 /// [1, 256]; auto (0) additionally caps at both hardware concurrency and
-/// the worker count, so a workers=1 server stays a single shard with the
-/// pre-sharding single-queue semantics.
+/// the worker count, so a workers=1 server keeps its caches in one shard.
 int resolve_shards(const ServerOptions& o) {
   int s = o.shards;
   if (s <= 0) {
@@ -162,7 +166,8 @@ ServerOptions ServerOptions::from_env() {
 }
 
 Server::Server(std::shared_ptr<const Wise> predictor, ServerOptions options)
-    : options_(options) {
+    : options_(options),
+      pool_(options.workers, options.queue_capacity) {
   if (!predictor) {
     throw std::invalid_argument("serve::Server: null predictor");
   }
@@ -173,46 +178,34 @@ Server::Server(std::shared_ptr<const Wise> predictor, ServerOptions options)
   const std::size_t n = static_cast<std::size_t>(resolve_shards(options_));
   options_.shards = static_cast<int>(n);
 
-  // Every per-shard resource is a base + round-robin-remainder split of the
-  // configured total (util/lru.hpp split_budget), so the shard sums match
-  // the configuration exactly; worker/queue/entry shares are floored at 1
-  // because those totals must stay positive per shard.
-  const auto worker_shares = split_budget(
-      static_cast<std::size_t>(std::max(1, options_.workers)), n);
-  const auto queue_shares = split_budget(options_.queue_capacity, n);
+  // Each shard's cache budgets are a base + round-robin-remainder split of
+  // the configured totals (util/lru.hpp split_budget), so the shard sums
+  // match the configuration exactly.
   const auto choice_shares = split_budget(options_.choice_entries, n);
   const auto byte_shares = split_budget(options_.cache_bytes, n);
-
   shards_.reserve(n);
-  int total_threads = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const int workers =
-        static_cast<int>(std::max<std::size_t>(1, worker_shares[i]));
-    const std::size_t queue =
-        options_.queue_capacity == 0
-            ? 0
-            : std::max<std::size_t>(1, queue_shares[i]);
     shards_.push_back(std::make_unique<Shard>(
         bounded_share(choice_shares[i], options_.choice_entries),
-        bounded_share(byte_shares[i], options_.cache_bytes), workers, queue));
-    total_threads += shards_.back()->pool->thread_count();
+        bounded_share(byte_shares[i], options_.cache_bytes)));
   }
 
   auto& metrics = obs::MetricsRegistry::global();
-  metrics.set_gauge("serve.workers", static_cast<double>(total_threads));
+  metrics.set_gauge("serve.workers",
+                    static_cast<double>(pool_.thread_count()));
   metrics.set_gauge("serve.shards", static_cast<double>(n));
 }
 
 Server::~Server() {
   // Learners publish through this server and sample into it from worker
-  // threads; stop them (joining their retrain threads) before the pools and
+  // threads; stop them (joining their retrain threads) before the pool and
   // the bank slots go away.
   for (auto& l : learners_) {
     if (l) l->stop();
   }
   learner_raw_.store(nullptr, std::memory_order_release);
   shutdown(true);
-  // Pools are joined: no reader can hold a pin into our slots anymore.
+  // The pool is joined: no reader can hold a pin into our slots anymore.
   delete bank_.load(std::memory_order_relaxed);
   for (auto& [slot, epoch] : retired_banks_) delete slot;
   retired_banks_.clear();
@@ -320,20 +313,10 @@ std::future<Response> Server::submit(Request req) {
   const auto& ids = serve_metric_ids();
   metrics.add(ids.request_count);
 
-  // Fingerprinted requests go to their home shard (its caches and inflight
-  // table live there); the rest round-robin across pools and re-home after
-  // the worker hashes the matrix.
-  Shard* shard =
-      req.fingerprint.has_value()
-          ? shards_[shard_of(*req.fingerprint)].get()
-          : shards_[rr_.fetch_add(1, std::memory_order_relaxed) &
-                    (shards_.size() - 1)]
-                .get();
-
   if (!accepting_.load(std::memory_order_acquire)) {
     promise->set_value(error_response(req, ErrorCategory::kResource,
                                       "server is shutting down"));
-    shard->counters.rejected.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
     return future;
   }
 
@@ -344,14 +327,13 @@ std::future<Response> Server::submit(Request req) {
       deadline_ms.count() > 0 ? enqueued + deadline_ms : kNoDeadline;
 
   const std::string id = req.id;
-  auto task = [this, promise, shard, request = std::move(req), enqueued,
-               deadline] {
-    promise->set_value(process(*shard, request, enqueued, deadline));
+  auto task = [this, promise, request = std::move(req), enqueued, deadline] {
+    promise->set_value(process(request, enqueued, deadline));
   };
 
   const bool queued = options_.overflow == OverflowPolicy::kBlock
-                          ? shard->pool->submit(task)
-                          : shard->pool->try_submit(task);
+                          ? pool_.submit(task)
+                          : pool_.try_submit(task);
   if (!queued) {
     metrics.add(ids.reject_count);
     // The rejected task was never enqueued but still owns a promise
@@ -363,10 +345,10 @@ std::future<Response> Server::submit(Request req) {
                        options_.overflow == OverflowPolicy::kReject
                            ? "request queue is full"
                            : "server is shutting down"));
-    shard->counters.rejected.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
     return future;
   }
-  shard->counters.accepted.fetch_add(1, std::memory_order_relaxed);
+  counters_.accepted.fetch_add(1, std::memory_order_relaxed);
   return future;
 }
 
@@ -374,35 +356,35 @@ Response Server::call(Request req) { return submit(std::move(req)).get(); }
 
 void Server::shutdown(bool drain) {
   accepting_.store(false, std::memory_order_release);
-  if (!drain) cancelled_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) shard->pool->drain_and_stop();
+  if (!drain) {
+    tl_cancelling = true;
+    for (auto& task : pool_.stop_and_take_queued()) task();
+    tl_cancelling = false;
+  }
+  pool_.drain_and_stop();
 }
 
-std::size_t Server::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& shard : shards_) depth += shard->pool->queue_depth();
-  return depth;
-}
+std::size_t Server::queue_depth() const { return pool_.queue_depth(); }
 
 ServerStats Server::stats() const {
+  const Counters& c = counters_;
+  const auto read = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
   ServerStats s;
-  for (const auto& shard : shards_) {
-    const ShardCounters& c = shard->counters;
-    s.accepted += c.accepted.load(std::memory_order_relaxed);
-    s.completed += c.completed.load(std::memory_order_relaxed);
-    s.rejected += c.rejected.load(std::memory_order_relaxed);
-    s.expired += c.expired.load(std::memory_order_relaxed);
-    s.failed += c.failed.load(std::memory_order_relaxed);
-    s.degraded += c.degraded.load(std::memory_order_relaxed);
-    s.coalesced += c.coalesced.load(std::memory_order_relaxed);
-    s.prepares += c.prepares.load(std::memory_order_relaxed);
-    s.sampled += c.sampled.load(std::memory_order_relaxed);
-    s.spmm_requests += c.spmm_requests.load(std::memory_order_relaxed);
-    s.sessions_active += c.sessions_active.load(std::memory_order_relaxed);
-    s.sessions_completed +=
-        c.sessions_completed.load(std::memory_order_relaxed);
-    s.session_iters += c.session_iters.load(std::memory_order_relaxed);
-  }
+  s.accepted = read(c.accepted);
+  s.completed = read(c.completed);
+  s.rejected = read(c.rejected);
+  s.expired = read(c.expired);
+  s.failed = read(c.failed);
+  s.degraded = read(c.degraded);
+  s.coalesced = read(c.coalesced);
+  s.prepares = read(c.prepares);
+  s.sampled = read(c.sampled);
+  s.spmm_requests = read(c.spmm_requests);
+  s.sessions_active = read(c.sessions_active);
+  s.sessions_completed = read(c.sessions_completed);
+  s.session_iters = read(c.session_iters);
   // Gauges refresh here, off the request path (stats() is the poll point).
   obs::MetricsRegistry::global().set_gauge(
       "serve.queue.depth", static_cast<double>(queue_depth()));
@@ -433,7 +415,7 @@ std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
                                                      const Request& req,
                                                      const Fingerprint& fp,
                                                      WiseChoice& choice) {
-  home.counters.prepares.fetch_add(1, std::memory_order_relaxed);
+  counters_.prepares.fetch_add(1, std::memory_order_relaxed);
   const std::size_t shard_budget = home.prepared_cache.budget();
   const auto [bank, version] = read_bank([](const BankSlot& slot) {
     return std::pair{slot.wise, slot.version};
@@ -454,7 +436,7 @@ std::shared_ptr<PreparedEntry> Server::prepare_entry(Shard& home,
         std::to_string(shard_budget) + " bytes";
     pm = PreparedMatrix::prepare(*req.matrix, choice.config);
     obs::MetricsRegistry::global().add(serve_metric_ids().degraded_count);
-    home.counters.degraded.fetch_add(1, std::memory_order_relaxed);
+    counters_.degraded.fetch_add(1, std::memory_order_relaxed);
   }
 
   auto entry = std::make_shared<PreparedEntry>();
@@ -502,7 +484,7 @@ std::shared_ptr<PreparedEntry> Server::prepare_or_join(Shard& home,
     // Join the in-flight prepare: park on the leader's future. The leader's
     // failure (if any) rethrows here and surfaces as this request's error.
     rsp.coalesced = true;
-    home.counters.coalesced.fetch_add(1, std::memory_order_relaxed);
+    counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
     obs::MetricsRegistry::global().add(serve_metric_ids().coalesced_count);
     std::shared_ptr<PreparedEntry> entry = fut.get();
     rsp.choice = entry->choice;
@@ -532,8 +514,8 @@ learn::OnlineLearner* Server::sampling_learner() {
 }
 
 template <typename FullFeatures, typename MakeBaseline>
-void Server::sample(Shard& home, learn::OnlineLearner* lr,
-                    const Response& rsp, learn::WorkloadClass cls, int iters,
+void Server::sample(learn::OnlineLearner* lr, const Response& rsp,
+                    learn::WorkloadClass cls, int iters,
                     double chosen_per_iter, FullFeatures full_features,
                     MakeBaseline make_baseline) {
   // Fallback choices carry no feature vector (the pipeline degraded before
@@ -561,13 +543,13 @@ void Server::sample(Shard& home, learn::OnlineLearner* lr,
     s.features = full_features();
     s.workload_class = static_cast<std::uint8_t>(cls);
     lr->observe(s);
-    home.counters.sampled.fetch_add(1, std::memory_order_relaxed);
+    counters_.sampled.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {
     // Sampling rides on a successful request; it must never fail one.
   }
 }
 
-Response Server::run_prepared(Shard& home, const Request& req, Response rsp,
+Response Server::run_prepared(const Request& req, Response rsp,
                               const std::shared_ptr<PreparedEntry>& entry) {
   const CsrMatrix& m = *entry->matrix;
   const aligned_vector<value_t> x =
@@ -588,13 +570,13 @@ Response Server::run_prepared(Shard& home, const Request& req, Response rsp,
 
   // Online-learning tap: label against the same baseline the training
   // pipeline uses, on the same input and iteration count as the request.
-  sample(home, sampling_learner(), rsp, learn::WorkloadClass::kSpmv, iters,
+  sample(sampling_learner(), rsp, learn::WorkloadClass::kSpmv, iters,
          rsp.spmv_seconds, [&] { return entry->full_features(); },
          [&] { return csr_baseline(m, x); });
   return rsp;
 }
 
-Response Server::process_spmm(Shard& home, const Request& req, Response rsp) {
+Response Server::process_spmm(const Request& req, Response rsp) {
   const CsrMatrix& m = *req.matrix;
   const index_t k = static_cast<index_t>(std::clamp(req.rhs_cols, 1, 64));
   const auto [bank, version] = read_bank([](const BankSlot& slot) {
@@ -636,11 +618,11 @@ Response Server::process_spmm(Shard& home, const Request& req, Response rsp) {
   }
   rsp.spmv_seconds = t.seconds() / iters;
   rsp.checksum = checksum(y);
-  home.counters.spmm_requests.fetch_add(1, std::memory_order_relaxed);
+  counters_.spmm_requests.fetch_add(1, std::memory_order_relaxed);
 
   // Label against the SpMM training baseline: kb=1/Dyn, i.e. k repeated
   // plan-SpMVs, on the same RHS.
-  sample(home, lr, rsp, learn::WorkloadClass::kSpmm, iters, rsp.spmv_seconds,
+  sample(lr, rsp, learn::WorkloadClass::kSpmm, iters, rsp.spmv_seconds,
          [&] { return rsp.choice.full_features(m); },
          [&] {
            return [&] {
@@ -664,11 +646,11 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
                     "' (expected cg, jacobi, or bicgstab)",
                 {.stage = stage::kServe});
   }
-  home.counters.sessions_active.fetch_add(1, std::memory_order_relaxed);
+  counters_.sessions_active.fetch_add(1, std::memory_order_relaxed);
   struct ActiveGuard {
     std::atomic<std::uint64_t>& active;
     ~ActiveGuard() { active.fetch_sub(1, std::memory_order_relaxed); }
-  } guard{home.counters.sessions_active};
+  } guard{counters_.sessions_active};
 
   const int max_iters = std::max(1, req.iters);
 
@@ -723,12 +705,12 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
                          : solve_seconds;
   rsp.checksum = checksum(result.x);
 
-  home.counters.sessions_completed.fetch_add(1, std::memory_order_relaxed);
-  home.counters.session_iters.fetch_add(
+  counters_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
+  counters_.session_iters.fetch_add(
       static_cast<std::uint64_t>(std::max(0, result.iterations)),
       std::memory_order_relaxed);
 
-  sample(home, sampling_learner(), rsp, learn::WorkloadClass::kSession,
+  sample(sampling_learner(), rsp, learn::WorkloadClass::kSession,
          std::clamp(rsp.solve_iterations, 1, 4),
          spmv_calls > 0 ? spmv_total / spmv_calls : 0.0,
          [&] { return entry->full_features(); },
@@ -736,7 +718,7 @@ Response Server::process_solve(Shard& home, const Request& req, Response rsp) {
   return rsp;
 }
 
-Response Server::process(Shard& exec, const Request& req,
+Response Server::process(const Request& req,
                          std::chrono::steady_clock::time_point enqueued,
                          std::chrono::steady_clock::time_point deadline) {
   auto& metrics = obs::MetricsRegistry::global();
@@ -746,18 +728,18 @@ Response Server::process(Shard& exec, const Request& req,
   Response rsp;
   const auto finish = [&](Response r) {
     r.queue_seconds = static_cast<double>(wait_ns) * 1e-9;
-    exec.counters.completed.fetch_add(1, std::memory_order_relaxed);
-    if (!r.ok) exec.counters.failed.fetch_add(1, std::memory_order_relaxed);
+    counters_.completed.fetch_add(1, std::memory_order_relaxed);
+    if (!r.ok) counters_.failed.fetch_add(1, std::memory_order_relaxed);
     return r;
   };
 
-  if (cancelled_.load(std::memory_order_acquire)) {
+  if (tl_cancelling) {
     return finish(error_response(req, ErrorCategory::kResource,
                                  "server shut down before the request ran"));
   }
   if (deadline != kNoDeadline && std::chrono::steady_clock::now() > deadline) {
     metrics.add(ids.expired_count);
-    exec.counters.expired.fetch_add(1, std::memory_order_relaxed);
+    counters_.expired.fetch_add(1, std::memory_order_relaxed);
     return finish(error_response(req, ErrorCategory::kResource,
                                  "deadline expired while queued"));
   }
@@ -776,9 +758,6 @@ Response Server::process(Shard& exec, const Request& req,
         req.fingerprint.has_value()
             ? *req.fingerprint
             : fingerprint_matrix(*req.matrix, options_.fingerprint_values);
-    // Per-fingerprint state always lives on the fingerprint's home shard —
-    // for unfingerprinted requests that may differ from the pool that runs
-    // the task, so resolve it from the hash just computed.
     Shard& home = *shards_[shard_of(rsp.fingerprint)];
 
     if (req.kind == RequestKind::kPredict) {
@@ -798,7 +777,7 @@ Response Server::process(Shard& exec, const Request& req,
         home.choice_cache.put(rsp.fingerprint, rsp.choice);
       }
     } else if (req.kind == RequestKind::kSpmm) {
-      rsp = process_spmm(home, req, std::move(rsp));
+      rsp = process_spmm(req, std::move(rsp));
     } else if (req.kind == RequestKind::kSolve) {
       rsp = process_solve(home, req, std::move(rsp));
     } else {
@@ -812,7 +791,7 @@ Response Server::process(Shard& exec, const Request& req,
       }
       rsp.bank_version = entry->bank_version;
       if (req.kind == RequestKind::kRun) {
-        rsp = run_prepared(home, req, std::move(rsp), entry);
+        rsp = run_prepared(req, std::move(rsp), entry);
       }
     }
     // kSpmm names its SpmmConfig itself; everything else echoes the choice.

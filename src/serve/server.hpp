@@ -2,24 +2,25 @@
 // Concurrent prediction server — the long-lived, multi-tenant front half of
 // the WISE pipeline (ROADMAP: "serves heavy traffic").
 //
-// The server is SHARDED: the fingerprint space is partitioned across N
-// shards (N = WISE_SERVE_SHARDS, default: hardware concurrency rounded
-// down to a power of two and capped by the worker count). Each shard owns
-// its own slice of the serving state — a ChoiceCache, a byte-budgeted
-// PreparedCache slice, a worker pool, and an in-flight prepare table — so
-// independent hot matrices never touch each other's locks or cache lines.
-// submit() routes a fingerprinted request to its home shard by mixing the
-// fingerprint bits; requests without a precomputed fingerprint are
-// round-robined across pools and re-homed to the owning shard's caches
-// once the worker has hashed the matrix.
+// Execution: ONE ThreadPool of `workers` threads drains one FIFO of at most
+// `queue_capacity` requests, so the server is work-conserving — no request
+// waits in the queue while a worker is idle.
 //
-// Within a shard the warm path is lock-FREE, not merely lock-light: both
-// cache tiers read through epoch-protected copy-on-write tables
-// (util/epoch_lru.hpp), and cached entries execute SpMV through the
-// const-thread-safe PreparedMatrix::run overload with a per-thread
-// workspace — a warm PREDICT or RUN takes zero mutexes end to end. Server
-// counters are per-shard relaxed atomics, aggregated only when stats() is
-// called.
+// State is SHARDED: the fingerprint space is partitioned across N shards
+// (N = WISE_SERVE_SHARDS, default: hardware concurrency capped by the
+// worker count, rounded down to a power of two). A shard owns only
+// per-fingerprint state — a ChoiceCache, a byte-budgeted PreparedCache
+// slice and an in-flight prepare table — so independent hot matrices never
+// touch each other's locks or cache lines. The worker running a request
+// resolves its home shard from the fingerprint: the request's precomputed
+// one, or the hash the worker computes first.
+//
+// The warm path is lock-FREE, not merely lock-light: both cache tiers read
+// through epoch-protected copy-on-write tables (util/epoch_lru.hpp), and
+// cached entries execute SpMV through the const-thread-safe
+// PreparedMatrix::run overload with a per-thread workspace — a warm PREDICT
+// or RUN takes zero mutexes end to end. Server counters are one block of
+// relaxed atomics, read by stats().
 //
 // Models: the SpMV bank and the SpMM bank live in ONE epoch-protected slot
 // together with the SpMV bank's version. Requests read it under an epoch
@@ -39,15 +40,17 @@
 // Request lifecycle:
 //   submit() fingerprints nothing and copies nothing — it enqueues the
 //   request (shared_ptr to the matrix) and returns a std::future<Response>.
-//   When the home shard's queue is full the overflow policy decides: kBlock
+//   When the queue is full the overflow policy decides: kBlock
 //   parks the caller until a slot frees; kReject completes the future
 //   immediately with a kResource error. A worker that dequeues an expired
 //   request (its deadline passed while queued) completes it with a
 //   kResource error without doing the work — deadlines are admission
 //   control, not preemption. shutdown(drain=true) stops intake and
 //   completes every queued request; shutdown(drain=false) stops intake and
-//   completes queued requests with a "shutting down" error (the work is
-//   skipped, the future is still fulfilled — promises are never broken).
+//   completes the requests still queued with a "shutting down" error on the
+//   calling thread (the work is skipped, the future is still fulfilled —
+//   promises are never broken). A request a worker has already dequeued
+//   runs to completion either way.
 //
 // Degradation: when a converted layout alone would overflow its shard's
 // prepared-cache byte budget, the server re-prepares with the bank's
@@ -112,8 +115,8 @@ enum class OverflowPolicy {
 };
 
 struct ServerOptions {
-  int workers = 4;  ///< total across shards
-  std::size_t queue_capacity = 64;  ///< total across shards; 0 = unbounded
+  int workers = 4;  ///< worker threads (clamped to >= 1), shared by all shards
+  std::size_t queue_capacity = 64;  ///< queued requests; 0 = unbounded
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   std::size_t cache_bytes = 256u << 20;  ///< prepared-tier budget; 0 = unbounded
   std::size_t choice_entries = 1024;     ///< choice-tier entry cap
@@ -121,9 +124,9 @@ struct ServerOptions {
   std::chrono::milliseconds default_deadline{0};  ///< 0 = none
   /// Shard count; non-powers-of-two round down, clamped to [1, 256].
   /// 0 = auto: hardware concurrency, capped by `workers`, rounded down to a
-  /// power of two — so a workers=1 server is a single shard with a single
-  /// queue, exactly the pre-sharding semantics. The resolved value is
-  /// reported by options().shards after construction.
+  /// power of two — so a workers=1 server keeps its caches in one shard.
+  /// Shards split the cache budgets, not the workers or the queue. The
+  /// resolved value is reported by options().shards after construction.
   int shards = 0;
 
   /// Reads WISE_SERVE_WORKERS, WISE_SERVE_QUEUE, WISE_SERVE_OVERFLOW
@@ -148,8 +151,7 @@ struct Request {
   /// Precomputed cache key, trusted verbatim. The hash is an O(nnz) pass,
   /// so callers that load a matrix once and send many requests against it
   /// (the daemon's loader, steady-state clients) compute it at load time;
-  /// leave unset and the worker hashes per request. Also the shard router:
-  /// fingerprinted requests go straight to their home shard's queue.
+  /// leave unset and the worker hashes per request.
   std::optional<Fingerprint> fingerprint;
 };
 
@@ -186,7 +188,7 @@ struct Response {
 };
 
 /// Monotonic server counters (separate from the obs registry so STATS works
-/// even with metrics disabled). Aggregated across shards at read time.
+/// even with metrics disabled).
 struct ServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t completed = 0;
@@ -225,7 +227,8 @@ class Server {
   Response call(Request req);
 
   /// Stops intake; with `drain` runs every queued request to completion,
-  /// without it completes queued requests with a shutdown error. Idempotent.
+  /// without it completes the requests still queued with a shutdown error
+  /// (requests a worker already dequeued still run). Idempotent.
   void shutdown(bool drain = true);
 
   ServerStats stats() const;
@@ -272,10 +275,9 @@ class Server {
   std::shared_ptr<const spmm::SpmmBank> spmm_bank() const;
 
  private:
-  /// Hot-path counters, one cache-line-padded block per shard. Relaxed
-  /// atomics: each event is a single uncontended fetch_add; cross-shard
-  /// totals only materialize in stats().
-  struct alignas(64) ShardCounters {
+  /// Hot-path counters: relaxed atomics, each event one fetch_add; stats()
+  /// copies them out.
+  struct Counters {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> rejected{0};
@@ -291,26 +293,21 @@ class Server {
     std::atomic<std::uint64_t> session_iters{0};
   };
 
-  /// One slice of the serving state. The inflight table holds prepares
-  /// currently executing on this shard, keyed by fingerprint; its mutex is
-  /// cold-path only (taken on cache misses and prepare completion, never on
-  /// a warm hit).
+  /// The per-fingerprint serving state of one slice of the fingerprint
+  /// space. The inflight table holds prepares currently executing for this
+  /// shard's fingerprints; its mutex is cold-path only (taken on cache
+  /// misses and prepare completion, never on a warm hit).
   struct Shard {
-    Shard(std::size_t choice_entries, std::size_t cache_bytes, int workers,
-          std::size_t queue_capacity)
-        : choice_cache(choice_entries),
-          prepared_cache(cache_bytes),
-          pool(std::make_unique<ThreadPool>(workers, queue_capacity)) {}
+    Shard(std::size_t choice_entries, std::size_t cache_bytes)
+        : choice_cache(choice_entries), prepared_cache(cache_bytes) {}
 
     ChoiceCache choice_cache;
     PreparedCache prepared_cache;
-    std::unique_ptr<ThreadPool> pool;
     std::mutex inflight_mutex;
     std::unordered_map<Fingerprint,
                        std::shared_future<std::shared_ptr<PreparedEntry>>,
                        FingerprintHash>
         inflight;
-    ShardCounters counters;
   };
 
   /// Every model the server chooses with, plus the SpMV bank's version,
@@ -337,14 +334,14 @@ class Server {
   /// every shard. Returns the published version.
   std::uint64_t swap_bank(const std::function<void(BankSlot&)>& edit);
 
-  Response process(Shard& exec, const Request& req,
+  Response process(const Request& req,
                    std::chrono::steady_clock::time_point enqueued,
                    std::chrono::steady_clock::time_point deadline);
-  Response run_prepared(Shard& home, const Request& req, Response rsp,
+  Response run_prepared(const Request& req, Response rsp,
                         const std::shared_ptr<PreparedEntry>& entry);
   /// kSpmm: choose from the SpMM bank, run the blocked kernel on a seeded
   /// RHS, optionally sample (workload class spmm).
-  Response process_spmm(Shard& home, const Request& req, Response rsp);
+  Response process_spmm(const Request& req, Response rsp);
   /// kSolve: cached prepare for `iters` SpMVs + full iterative solve.
   /// Samples carry workload class session.
   Response process_solve(Shard& home, const Request& req, Response rsp);
@@ -361,7 +358,7 @@ class Server {
   /// no-op without a learner, a feature vector or a positive time;
   /// failures are swallowed — sampling never fails a request.
   template <typename FullFeatures, typename MakeBaseline>
-  void sample(Shard& home, learn::OnlineLearner* lr, const Response& rsp,
+  void sample(learn::OnlineLearner* lr, const Response& rsp,
               learn::WorkloadClass cls, int iters, double chosen_per_iter,
               FullFeatures full_features, MakeBaseline make_baseline);
   /// Cache-miss path: join the shard's in-flight prepare for `fp` or become
@@ -379,7 +376,7 @@ class Server {
 
   /// Current bank slot; readers go through read_bank(). Swapped-out slots
   /// are retired to the global epoch domain and reclaimed on later swaps
-  /// (or at destruction, after the pools are joined).
+  /// (or at destruction, after the pool is joined).
   std::atomic<BankSlot*> bank_{nullptr};
   /// Serializes swap_bank() and the learner plumbing; never taken on the
   /// request path.
@@ -389,7 +386,7 @@ class Server {
 
   ServerOptions options_;  ///< with shards resolved to the actual count
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> rr_{0};  ///< router for unfingerprinted requests
+  Counters counters_;
 
   /// Learner plumbing: the hot path gates on one relaxed-ish atomic load;
   /// ownership lives in the vector (learners attached earlier are kept
@@ -399,7 +396,9 @@ class Server {
   std::vector<std::shared_ptr<learn::OnlineLearner>> learners_;
 
   std::atomic<bool> accepting_{true};
-  std::atomic<bool> cancelled_{false};
+  /// Declared last, so destroyed first: its workers are joined before the
+  /// state their tasks read goes away.
+  ThreadPool pool_;
 };
 
 }  // namespace wise::serve

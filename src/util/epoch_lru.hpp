@@ -23,7 +23,7 @@
 //
 // Destruction is not epoch-protected: callers must guarantee no reader is
 // pinned when the map dies (the serve layer destroys caches only after
-// its worker pools are joined).
+// its worker pool is joined).
 
 #include <atomic>
 #include <cstddef>

@@ -58,6 +58,18 @@ void ThreadPool::drain_and_stop() {
   workers_.clear();
 }
 
+std::deque<std::function<void()>> ThreadPool::stop_and_take_queued() {
+  std::deque<std::function<void()>> taken;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+    taken.swap(queue_);
+  }
+  not_empty_.notify_all();
+  not_full_.notify_all();
+  return taken;
+}
+
 std::size_t ThreadPool::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();

@@ -5,10 +5,10 @@
 // Design: N std::threads drain one FIFO of std::function<void()> tasks. The
 // queue is optionally bounded; when full, callers choose their backpressure
 // at the call site: try_submit() rejects immediately (returns false) while
-// submit() blocks until a slot frees. Shutdown is always *draining*: after
+// submit() blocks until a slot frees. Shutdown drains: after
 // drain_and_stop() no new task is accepted, every queued task still runs,
-// and the workers are joined. Callers that need to abandon queued work do
-// so cooperatively (a cancelled flag the task itself checks) — the pool
+// and the workers are joined. Callers that need to abandon queued work take
+// it back with stop_and_take_queued() and complete it themselves — the pool
 // never drops a task it accepted, so a task's completion promise is always
 // fulfilled exactly once.
 //
@@ -50,6 +50,11 @@ class ThreadPool {
   /// Stops accepting tasks, runs everything already queued, and joins the
   /// workers. Idempotent. Must not be called from a worker thread.
   void drain_and_stop();
+
+  /// Stops accepting tasks and returns the queued ones instead of running
+  /// them; tasks a worker already took still run. The caller owns the
+  /// returned tasks. Follow with drain_and_stop() to join the workers.
+  std::deque<std::function<void()>> stop_and_take_queued();
 
   /// Tasks queued but not yet picked up by a worker.
   std::size_t queue_depth() const;

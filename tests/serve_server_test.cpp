@@ -369,6 +369,40 @@ TEST(Server, ShardEvictionIsIndependentOfSiblingShards) {
   EXPECT_EQ(cs.prepared_hits, 1u);     // C-again
 }
 
+TEST(Server, SameShardRequestsDoNotQueueWhileAWorkerIdles) {
+  // Work conservation: two workers, two shards, and two long RUNs that home
+  // on the same shard. The second must start on the idle worker at once,
+  // not queue behind the first.
+  Server server(make_predictor(MethodKind::kSellpack),
+                {.workers = 2, .shards = 2});
+  ASSERT_EQ(server.shard_count(), 2u);
+
+  const auto a = shared_matrix(1024, 800);
+  const Fingerprint fpa = fingerprint_matrix(*a);
+  std::shared_ptr<const CsrMatrix> b;
+  Fingerprint fpb;
+  for (std::uint64_t seed = 801; !b && seed < 900; ++seed) {
+    auto m = shared_matrix(1024, seed);
+    fpb = fingerprint_matrix(*m);
+    if (server.shard_of(fpb) == server.shard_of(fpa)) b = std::move(m);
+  }
+  ASSERT_TRUE(b) << "no same-shard matrix found in 99 seeds";
+
+  Request first = run_request(a, "first", 10000);
+  first.fingerprint = fpa;
+  Request second = run_request(b, "second", 10000);
+  second.fingerprint = fpb;
+  auto first_future = server.submit(std::move(first));
+  auto second_future = server.submit(std::move(second));
+  const Response r1 = first_future.get();
+  const Response r2 = second_future.get();
+  ASSERT_TRUE(r1.ok) << r1.error;
+  ASSERT_TRUE(r2.ok) << r2.error;
+  EXPECT_LT(r2.queue_seconds, 0.5 * r1.service_seconds)
+      << "the second RUN queued " << r2.queue_seconds
+      << " s while the first ran " << r1.service_seconds << " s";
+}
+
 TEST(Server, ByteBudgetEvictsDeterministically) {
   // Budget sized to hold exactly one prepared entry: A, B, A again must be
   // miss, miss+evict, miss+evict.

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -83,6 +85,33 @@ TEST(ThreadPool, DrainRunsQueuedTasksThenRejectsNew) {
   EXPECT_FALSE(pool.submit([&count] { ++count; }));
   EXPECT_FALSE(pool.try_submit([&count] { ++count; }));
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, StopAndTakeQueuedHandsBackOnlyTheQueuedTasks) {
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::promise<void> started;
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.submit([gate, &started, &ran] {
+    started.set_value();
+    gate.wait();
+    ++ran;
+  }));
+  started.get_future().wait();  // the worker holds the first task
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(pool.submit([&ran] { ran += 10; }));
+  }
+  std::deque<std::function<void()>> taken = pool.stop_and_take_queued();
+  EXPECT_EQ(taken.size(), 3u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_FALSE(pool.submit([&ran] { ran += 100; }));
+  EXPECT_FALSE(pool.try_submit([&ran] { ran += 100; }));
+  release.set_value();
+  pool.drain_and_stop();
+  EXPECT_EQ(ran.load(), 1) << "only the task a worker already held runs";
+  for (auto& task : taken) task();
+  EXPECT_EQ(ran.load(), 31);
 }
 
 TEST(ThreadPool, ClampsThreadCountToAtLeastOne) {
