@@ -53,7 +53,8 @@ SrvSegment build_segment(const CsrMatrix& src, index_t col_begin,
   seg.row_order = sigma_sorted_row_order(seg_nnz, opts.sigma);
   if (opts.sigma >= n) {
     // Empty rows sorted to the tail contribute nothing; drop them so the
-    // kernel skips them entirely (y is zero-initialized by the kernel).
+    // kernel skips them entirely. A segment 0 that misses rows makes the
+    // kernel zero y before it adds (spmv_srvpack's store-or-add rule).
     auto& order = seg.row_order;
     while (!order.empty() &&
            seg_nnz[static_cast<std::size_t>(order.back())] == 0) {

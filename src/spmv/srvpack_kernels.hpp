@@ -6,7 +6,9 @@
 // Each SRVPack chunk is processed with c-wide SIMD across its lanes; chunks
 // run block-by-block over a precomputed nnz-balanced plan; segments
 // run one after another so the input-vector working set of each segment
-// stays LLC-resident (LAV's goal).
+// stays LLC-resident (LAV's goal). The slot loop software-prefetches both
+// planes (values and column ids) a fixed distance ahead, since a 1-thread
+// run is bound by the latency of streaming them rather than by bandwidth.
 
 #include <span>
 
@@ -24,16 +26,19 @@ struct SrvWorkspace {
   aligned_vector<value_t> permuted_x;
 };
 
-/// y = A*x. y is fully overwritten (zero-initialized, then accumulated per
-/// segment). `plan` holds one chunk partition per segment (build_srv_plan),
-/// so the balancing is decided at prepare() time instead of per
-/// multiplication by the OpenMP runtime. Every chunk runs exactly once with
-/// an unchanged accumulation, so the result is bit-identical at any thread
-/// count and plan shape. Without CFS it equals spmv_reference bit for bit;
-/// with CFS (LAV-1Seg, LAV) each row sums in permuted column order, and
-/// across segments, so it equals the reference only to rounding. Throws
-/// std::invalid_argument on dimension mismatch or a plan whose segment
-/// count differs from the matrix's.
+/// y = A*x. y is fully overwritten, whatever it held. When segment 0's row
+/// order covers every row (every SELLPACK and Sell-c-σ layout), segment 0
+/// stores each row's sum and y is written once; otherwise (RFS layouts
+/// that dropped empty rows) y is zeroed first and segment 0 adds too. Later
+/// segments always add. Both give the same bits. `plan` holds one chunk
+/// partition per segment (build_srv_plan), so the balancing is decided at
+/// prepare() time instead of per multiplication by the OpenMP runtime.
+/// Every chunk runs exactly once with an unchanged accumulation, so the
+/// result is bit-identical at any thread count and plan shape. Without CFS
+/// it equals spmv_reference bit for bit; with CFS (LAV-1Seg, LAV) each row
+/// sums in permuted column order, and across segments, so it equals the
+/// reference only to rounding. Throws std::invalid_argument on dimension
+/// mismatch or a plan whose segment count differs from the matrix's.
 void spmv_srvpack(const SrvPackMatrix& a, std::span<const value_t> x,
                   std::span<value_t> y, Schedule sched, SrvWorkspace& ws,
                   const SrvPlan& plan);

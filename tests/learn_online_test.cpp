@@ -445,9 +445,17 @@ TEST(ServerLearn, OnlineLoopLowersServedMispredictRate) {
       << learner->stats().candidates_rejected;
 
   // Post-swap traffic: the relearned bank serves and is re-measured.
+  // Like the swap wait above, each poll drives one more round, so a window
+  // still short of guard_min_samples after these rounds keeps filling.
   for (int r = 0; r < 4; ++r) drive_round(round++);
-  ASSERT_TRUE(wait_until(
-      [&] { return learner->stats().window_samples >= opts.guard_min_samples; }));
+  const auto window_full = [&] {
+    return learner->stats().window_samples >= opts.guard_min_samples;
+  };
+  ASSERT_TRUE(wait_until([&] {
+    if (window_full()) return true;
+    drive_round(round++);
+    return window_full();
+  }));
 
   const LearnStats ls = learner->stats();
   const serve::ServerStats st = server.stats();

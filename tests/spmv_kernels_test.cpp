@@ -6,6 +6,12 @@
 
 #include <omp.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 #include "spmv/applicability.hpp"
 #include "spmv/bsr.hpp"
 #include "spmv/csr_kernels.hpp"
@@ -296,6 +302,98 @@ TEST(SrvPackKernel, SingleColumnMatrix) {
   for (index_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(y[static_cast<std::size_t>(i)], 2.0 * (i + 1));
   }
+}
+
+/// 40x40 with interior empty rows (5, 6, 17) and trailing ones (34..39),
+/// which RFS drops from a segment's row order; row lengths 1..5.
+CsrMatrix matrix_with_empty_rows() {
+  CooMatrix coo(40, 40);
+  for (index_t i = 0; i < 34; ++i) {
+    if (i == 5 || i == 6 || i == 17) continue;
+    for (index_t t = 0; t <= i % 5; ++t) {
+      coo.add(i, (i + 3 * t) % 40, static_cast<value_t>(1 + i + 2 * t));
+    }
+  }
+  coo.canonicalize();
+  return CsrMatrix::from_coo(coo);
+}
+
+/// 64x64 in which rows 0..47 touch only four hot columns and rows 48..63
+/// only a rare column each, so LAV puts rows 48..63 in its sparse segment
+/// alone and leaves them out of the dense segment's row order.
+CsrMatrix matrix_with_sparse_segment_rows() {
+  CooMatrix coo(64, 64);
+  for (index_t i = 0; i < 48; ++i) {
+    for (index_t col = 0; col < 4; ++col) {
+      coo.add(i, col, static_cast<value_t>(1 + (i + col) % 7));
+    }
+  }
+  for (index_t i = 48; i < 64; ++i) coo.add(i, i, 0.5 * i);
+  coo.canonicalize();
+  return CsrMatrix::from_coo(coo);
+}
+
+/// Whatever y holds before the call, the SRVPack kernel overwrites every
+/// row: a run into a y filled with NaN or 1e300 equals, bit for bit, a run
+/// into a zeroed y. Covers every SRVPack configuration in the registry
+/// (c = 4 and 8) and the runtime-width path at c = 3, on layouts whose
+/// first segment covers every row (the kernel stores) and on layouts that
+/// leave rows out of it (the kernel zeroes y and adds).
+TEST(SrvPackKernel, OverwritesEveryRowOfY) {
+  std::vector<std::pair<SrvBuildOptions, Schedule>> layouts;
+  for (const auto& cfg : all_method_configs()) {
+    if (cfg.kind == MethodKind::kCsr) continue;
+    layouts.emplace_back(cfg.srv_options(), cfg.sched);
+  }
+  for (Schedule sched : {Schedule::kStCont, Schedule::kDyn}) {
+    layouts.push_back({{.c = 3, .sigma = 1}, sched});
+    layouts.push_back({{.c = 3, .sigma = kSigmaAll}, sched});
+    layouts.push_back({{.c = 3, .sigma = kSigmaAll, .cfs = true,
+                        .segment_fractions = {0.7}},
+                       sched});
+  }
+  const std::vector<std::pair<const char*, CsrMatrix>> fixtures = {
+      {"empty rows", matrix_with_empty_rows()},
+      {"all empty", CsrMatrix::from_coo(CooMatrix(9, 7))},
+      {"no rows", CsrMatrix::from_coo(CooMatrix(0, 5))},
+      {"sparse-segment rows", matrix_with_sparse_segment_rows()},
+  };
+  const value_t fills[] = {std::numeric_limits<value_t>::quiet_NaN(), 1e300};
+
+  int rows_left_out = 0;  // layouts whose first segment misses a row
+  for (const auto& [name, m] : fixtures) {
+    const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 17);
+    std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+    spmv_reference(m, x, y_ref);
+    for (const auto& [opts, sched] : layouts) {
+      const SrvPackMatrix p = SrvPackMatrix::build(m, opts);
+      SCOPED_TRACE(::testing::Message()
+                   << name << ", c " << opts.c << ", sigma " << opts.sigma
+                   << ", segments " << p.segments().size() << ", "
+                   << schedule_name(sched));
+      if (!p.segments().empty() &&
+          p.segments().front().num_rows() < m.nrows()) {
+        ++rows_left_out;
+      }
+      const SrvPlan plan = build_srv_plan(p, sched, omp_get_max_threads());
+      SrvWorkspace ws;
+      std::vector<value_t> y_zero(y_ref.size(), 0.0);
+      spmv_srvpack(p, x, y_zero, sched, ws, plan);
+      expect_vectors_near(y_ref, y_zero);
+      for (value_t fill : fills) {
+        std::vector<value_t> y(y_ref.size(), fill);
+        spmv_srvpack(p, x, y, sched, ws, plan);
+        EXPECT_TRUE(std::equal(y.begin(), y.end(), y_zero.begin(),
+                               [](value_t a, value_t b) {
+                                 return std::bit_cast<std::uint64_t>(a) ==
+                                        std::bit_cast<std::uint64_t>(b);
+                               }))
+            << "y pre-filled with " << fill;
+      }
+    }
+  }
+  // The fixtures must reach the zero-and-add path, not only the store one.
+  EXPECT_GT(rows_left_out, 0);
 }
 
 // ------------------------------------------------------------ executor ----
