@@ -68,6 +68,12 @@ void BM_Sellpack(benchmark::State& s) {
   run_config(s,
              {.kind = MethodKind::kSellpack, .sched = Schedule::kStCont, .c = 8});
 }
+/// SELLPACK at c = 4, whose slot loop is the AVX2 body (the others run the
+/// c = 8 one).
+void BM_Sellpack4(benchmark::State& s) {
+  run_config(s,
+             {.kind = MethodKind::kSellpack, .sched = Schedule::kStCont, .c = 4});
+}
 void BM_SellCSigma(benchmark::State& s) {
   run_config(s, {.kind = MethodKind::kSellCSigma,
                  .sched = Schedule::kStCont,
@@ -127,6 +133,7 @@ void BM_Convert(benchmark::State& state) {
 WISE_BENCH(BM_CsrDyn);
 WISE_BENCH(BM_CsrStCont);
 WISE_BENCH(BM_Sellpack)->Arg(2);
+BENCHMARK(BM_Sellpack4)->Arg(2)->Unit(benchmark::kMicrosecond);
 WISE_BENCH(BM_SellCSigma)->Arg(2);
 WISE_BENCH(BM_SellCR);
 WISE_BENCH(BM_Lav1Seg);

@@ -82,7 +82,7 @@ SrvSegment build_segment(const CsrMatrix& src, index_t col_begin,
   // partial last chunk, are padded with (pad_col, 0). The padding column is
   // the window's first column: after CFS that is the hottest column, so
   // padded gathers hit cache.
-  const index_t pad_col = col_begin < src.ncols() ? col_begin : 0;
+  const index_t pad_col = seg.pad_col(src.ncols());
   const auto total_slots =
       static_cast<std::size_t>(seg.chunk_offset.back()) * c;
   seg.vals.resize(total_slots);

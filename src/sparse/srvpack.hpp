@@ -69,6 +69,11 @@ struct SrvSegment {
   }
   /// Stored entries including padding.
   nnz_t stored_entries(int c) const { return chunk_offset.back() * c; }
+  /// The column every padding entry (value 0) points at: the window's first
+  /// column, or 0 for a window that starts past the matrix's last column.
+  index_t pad_col(index_t ncols) const {
+    return col_begin < ncols ? col_begin : 0;
+  }
 };
 
 /// The unified matrix format. Immutable after build().

@@ -1,9 +1,14 @@
 #include "spmv/srvpack_kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+
+#if defined(__AVX2__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 namespace wise {
 
@@ -44,10 +49,15 @@ struct RuntimeWidth {
   operator int() const { return c; }
 };
 
-/// acc[l] += v[j*c + l] * x[ci[j*c + l]] over the slots j < len of one
-/// chunk, prefetching both planes ahead when a slot spans a cache line.
-/// Every chunk of every variant and width runs this one reduction, so all
-/// of them stay bit-identical.
+/// acc[l] = the sum over the slots j < len of v[j*c + l] * x[ci[j*c + l]],
+/// with acc zeroed on entry, prefetching both planes ahead when a slot
+/// spans a cache line. This
+/// portable body serves the runtime widths, and c = 4 and c = 8 on builds
+/// without the ISA of their register-resident bodies below. Every body adds
+/// each lane's products in slot order, as spmv_reference adds a row's, so
+/// all of them are bit-identical: where the build has FMA the compiler
+/// contracts `acc += v * x` here and in spmv_reference to the fused
+/// multiply-add that the vector bodies issue.
 template <typename Width>
 inline void reduce_slots(Width width, const value_t* v, const index_t* ci,
                          nnz_t len, const value_t* x, value_t* acc) {
@@ -65,11 +75,74 @@ inline void reduce_slots(Width width, const value_t* v, const index_t* ci,
   }
 }
 
+#if defined(__AVX2__) && defined(__FMA__)
+/// c = 4: the four lane sums stay in one ymm register, and each slot is one
+/// 4-lane gather of x and one FMA. It does not prefetch: at c = 4 that cost
+/// more than it hid (docs/PERFORMANCE.md § Register-resident SRVPack slots).
+inline void reduce_slots(FixedWidth<4>, const value_t* v, const index_t* ci,
+                         nnz_t len, const value_t* x, value_t* acc) {
+  // The masked gather with every lane set is the plain gather; its zeroed
+  // source keeps GCC from warning about the plain form's undefined one.
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  __m256d sum = zero;
+  for (nnz_t j = 0; j < len; ++j) {
+    const __m128i idx =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ci + j * 4));
+    const __m256d xs =
+        _mm256_mask_i32gather_pd(zero, x, idx, all, sizeof(value_t));
+    sum = _mm256_fmadd_pd(_mm256_loadu_pd(v + j * 4), xs, sum);
+  }
+  _mm256_storeu_pd(acc, sum);
+}
+#endif
+
+#if defined(__AVX512F__)
+/// c = 8: the eight lane sums stay in one zmm register, and each slot is one
+/// 8-lane gather of x and one FMA, with both planes prefetched ahead.
+inline void reduce_slots(FixedWidth<8>, const value_t* v, const index_t* ci,
+                         nnz_t len, const value_t* x, value_t* acc) {
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d sum = zero;
+  for (nnz_t j = 0; j < len; ++j) {
+    prefetch_ahead(v + j * 8);
+    prefetch_ahead(ci + j * 8);
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ci + j * 8));
+    const __m512d xs =
+        _mm512_mask_i32gather_pd(zero, 0xFF, idx, x, sizeof(value_t));
+    sum = _mm512_fmadd_pd(_mm512_loadu_pd(v + j * 8), xs, sum);
+  }
+  _mm512_storeu_pd(acc, sum);
+}
+#endif
+
+/// reduce_slots for a segment whose padding column `pad` holds a non-finite
+/// x. A padding entry (a zero value at `pad`) adds 0 * 0 where it would add
+/// 0 * x[pad] = NaN, so padding cannot poison a lane's sum. Every other
+/// entry adds exactly what reduce_slots adds.
+template <typename Width>
+void reduce_slots_guarded(Width width, const value_t* v, const index_t* ci,
+                          nnz_t len, const value_t* x, index_t pad,
+                          value_t* acc) {
+  const int c = width;
+  for (nnz_t j = 0; j < len; ++j) {
+#pragma omp simd
+    for (int l = 0; l < c; ++l) {
+      const nnz_t e = j * c + l;
+      const bool padding = ci[e] == pad && v[e] == value_t{0};
+      acc[l] += v[e] * (padding ? value_t{0} : x[ci[e]]);
+    }
+  }
+}
+
 /// Processes the chunks of one segment. With `store` each lane's sum
-/// overwrites its row of y; otherwise it is added to it.
+/// overwrites its row of y; otherwise it is added to it. A `guard_pad` of
+/// 0 or more names the segment's padding column and routes every chunk to
+/// reduce_slots_guarded; -1 runs the fast reduce_slots.
 template <typename Width>
 void run_chunks(const SrvSegment& seg, Width width, const value_t* x,
-                value_t* y, bool store, Schedule sched,
+                value_t* y, bool store, index_t guard_pad, Schedule sched,
                 const SpmvPlan& plan) {
   const int c = width;
   const index_t nrows_seg = seg.num_rows();
@@ -81,7 +154,12 @@ void run_chunks(const SrvSegment& seg, Width width, const value_t* x,
   // Reduces chunk k, whose slots start at `lo`, and writes its lanes out.
   auto chunk_at = [=](index_t k, nnz_t lo, nnz_t len) {
     value_t acc[Width::kMax] = {};
-    reduce_slots(width, vals + lo * c, cols + lo * c, len, x, acc);
+    if (guard_pad < 0) {
+      reduce_slots(width, vals + lo * c, cols + lo * c, len, x, acc);
+    } else {
+      reduce_slots_guarded(width, vals + lo * c, cols + lo * c, len, x,
+                           guard_pad, acc);
+    }
     const index_t base = k * c;
     const int lanes = static_cast<int>(
         std::min<index_t>(c, nrows_seg - base));
@@ -103,21 +181,11 @@ void run_chunks(const SrvSegment& seg, Width width, const value_t* x,
         for (index_t k = blo; k < bhi; ++k, lo += len) chunk_at(k, lo, len);
         break;
       }
+      // kWide and kMerge blocks run the generic loop. Interleaving two
+      // chunks measured no gain over one, and a tiny-chunk unroll ~0.95x
+      // of it on the packed format. The blocks keep their labels so the
+      // variant histogram stays shape-stable across formats.
       case KernelVariant::kWide:
-        // Long chunks: two chunks in flight so two accumulator sets overlap
-        // their gather latencies.
-        {
-          index_t k = blo;
-          for (; k + 2 <= bhi; k += 2) {
-            chunk(k);
-            chunk(k + 1);
-          }
-          if (k < bhi) chunk(k);
-        }
-        break;
-      // kMerge blocks run the generic loop: a tiny-chunk unroll measured
-      // ~0.95x of it on the packed format. The block keeps its kMerge label
-      // so the variant histogram stays shape-stable across formats.
       case KernelVariant::kMerge:
       case KernelVariant::kGeneric:
       default:
@@ -176,15 +244,24 @@ void spmv_srvpack(const SrvPackMatrix& a, std::span<const value_t> x,
     const auto& seg = segs[s];
     const SpmvPlan& seg_plan = plan.segments[s];
     const bool store = s == 0 && store_first;
+    // Padding is (pad_col, 0.0), and 0 * Inf is NaN: only a segment whose
+    // padding column holds a non-finite x (permuted x under CFS) runs the
+    // guarded reduction. One check per segment keeps the fast path as is.
+    const index_t pad = seg.pad_col(a.ncols());
+    const index_t guard_pad =
+        seg.chunk_offset.back() > 0 && !std::isfinite(xp[pad]) ? pad : -1;
     switch (a.c()) {
       case 4:
-        run_chunks(seg, FixedWidth<4>{}, xp, yp, store, sched, seg_plan);
+        run_chunks(seg, FixedWidth<4>{}, xp, yp, store, guard_pad, sched,
+                   seg_plan);
         break;
       case 8:
-        run_chunks(seg, FixedWidth<8>{}, xp, yp, store, sched, seg_plan);
+        run_chunks(seg, FixedWidth<8>{}, xp, yp, store, guard_pad, sched,
+                   seg_plan);
         break;
       default:
-        run_chunks(seg, RuntimeWidth{a.c()}, xp, yp, store, sched, seg_plan);
+        run_chunks(seg, RuntimeWidth{a.c()}, xp, yp, store, guard_pad, sched,
+                   seg_plan);
         break;
     }
   }

@@ -6,9 +6,21 @@
 // Each SRVPack chunk is processed with c-wide SIMD across its lanes; chunks
 // run block-by-block over a precomputed nnz-balanced plan; segments
 // run one after another so the input-vector working set of each segment
-// stays LLC-resident (LAV's goal). The slot loop software-prefetches both
-// planes (values and column ids) a fixed distance ahead, since a 1-thread
-// run is bound by the latency of streaming them rather than by bandwidth.
+// stays LLC-resident (LAV's goal).
+//
+// The slot loop has three bodies, picked at compile time:
+//   c = 4, AVX2 + FMA   four lane sums in one ymm register: one 4-lane
+//                       gather and one FMA per slot
+//   c = 8, AVX-512F     eight lane sums in one zmm register: one 8-lane
+//                       gather and one FMA per slot, with both planes
+//                       (values and column ids) prefetched a fixed distance
+//                       ahead, since a 1-thread run is bound by the latency
+//                       of streaming them rather than by bandwidth
+//   any other case      a portable `omp simd` loop over the lanes: other
+//                       widths, and builds without those ISA macros (c = 8
+//                       on AVX2-only hosts, sanitizer builds)
+// Each body adds a lane's products in slot order, so they all give the
+// same bits.
 
 #include <span>
 
@@ -39,6 +51,13 @@ struct SrvWorkspace {
 /// sums in permuted column order, and across segments, so it equals the
 /// reference only to rounding. Throws std::invalid_argument on dimension
 /// mismatch or a plan whose segment count differs from the matrix's.
+///
+/// Padding is stored as (pad_col, 0.0), one padding column per segment
+/// (SrvSegment::pad_col). A segment whose padding column holds a non-finite
+/// x runs a guarded reduction that skips padding, so padded rows stay
+/// finite where spmv_reference's do. The guard cannot tell an explicitly
+/// stored zero at that column from padding: such an entry adds nothing
+/// there, where spmv_reference adds 0 * Inf = NaN.
 void spmv_srvpack(const SrvPackMatrix& a, std::span<const value_t> x,
                   std::span<value_t> y, Schedule sched, SrvWorkspace& ws,
                   const SrvPlan& plan);

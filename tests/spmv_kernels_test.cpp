@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "spmv/applicability.hpp"
@@ -333,13 +335,9 @@ CsrMatrix matrix_with_sparse_segment_rows() {
   return CsrMatrix::from_coo(coo);
 }
 
-/// Whatever y holds before the call, the SRVPack kernel overwrites every
-/// row: a run into a y filled with NaN or 1e300 equals, bit for bit, a run
-/// into a zeroed y. Covers every SRVPack configuration in the registry
-/// (c = 4 and 8) and the runtime-width path at c = 3, on layouts whose
-/// first segment covers every row (the kernel stores) and on layouts that
-/// leave rows out of it (the kernel zeroes y and adds).
-TEST(SrvPackKernel, OverwritesEveryRowOfY) {
+/// Every SRVPack configuration in the registry (c = 4 and 8), and the
+/// runtime-width path at c = 3 in its natural, RFS and segmented CFS forms.
+std::vector<std::pair<SrvBuildOptions, Schedule>> srvpack_layouts() {
   std::vector<std::pair<SrvBuildOptions, Schedule>> layouts;
   for (const auto& cfg : all_method_configs()) {
     if (cfg.kind == MethodKind::kCsr) continue;
@@ -352,6 +350,16 @@ TEST(SrvPackKernel, OverwritesEveryRowOfY) {
                         .segment_fractions = {0.7}},
                        sched});
   }
+  return layouts;
+}
+
+/// Whatever y holds before the call, the SRVPack kernel overwrites every
+/// row: a run into a y filled with NaN or 1e300 equals, bit for bit, a run
+/// into a zeroed y. Covers srvpack_layouts(), on layouts whose first
+/// segment covers every row (the kernel stores) and on layouts that leave
+/// rows out of it (the kernel zeroes y and adds).
+TEST(SrvPackKernel, OverwritesEveryRowOfY) {
+  const auto layouts = srvpack_layouts();
   const std::vector<std::pair<const char*, CsrMatrix>> fixtures = {
       {"empty rows", matrix_with_empty_rows()},
       {"all empty", CsrMatrix::from_coo(CooMatrix(9, 7))},
@@ -394,6 +402,195 @@ TEST(SrvPackKernel, OverwritesEveryRowOfY) {
   }
   // The fixtures must reach the zero-and-add path, not only the store one.
   EXPECT_GT(rows_left_out, 0);
+}
+
+bool same_bits(value_t a, value_t b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// y against spmv_reference's y_ref, where x may hold Inf or NaN: a NaN
+/// row must be NaN and an infinite row the same infinity. A finite row
+/// must match bit for bit when `exact`, else to rounding.
+void expect_matches_reference(std::span<const value_t> y_ref,
+                              std::span<const value_t> y, bool exact) {
+  ASSERT_EQ(y_ref.size(), y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (std::isnan(y_ref[i])) {
+      EXPECT_TRUE(std::isnan(y[i])) << "row " << i << ": " << y[i];
+    } else if (exact || std::isinf(y_ref[i])) {
+      EXPECT_TRUE(same_bits(y_ref[i], y[i]))
+          << "row " << i << ": " << y_ref[i] << " vs " << y[i];
+    } else {
+      EXPECT_NEAR(y_ref[i], y[i], 1e-9 * std::max(1.0, std::abs(y_ref[i])))
+          << "row " << i;
+    }
+  }
+}
+
+/// y = A*x through an SRVPack plan built for each of 1, 2 and 8 threads
+/// (ctest reruns the binary at OMP_NUM_THREADS 1, 2 and 8 for the team
+/// width), each checked against spmv_reference. Every plan must also give
+/// the 1-thread plan's bits.
+void expect_srvpack_matches_reference(const CsrMatrix& m,
+                                      const SrvPackMatrix& p,
+                                      std::span<const value_t> x,
+                                      Schedule sched, bool exact) {
+  std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+  spmv_reference(m, x, y_ref);
+  std::vector<value_t> y_first;
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "plan for " << threads << " threads");
+    std::vector<value_t> y(y_ref.size(), -1.0);
+    SrvWorkspace ws;
+    spmv_srvpack(p, x, y, sched, ws, build_srv_plan(p, sched, threads));
+    expect_matches_reference(y_ref, y, exact);
+    if (y_first.empty()) {
+      y_first = y;
+    } else {
+      EXPECT_TRUE(std::equal(y.begin(), y.end(), y_first.begin(), same_bits));
+    }
+  }
+}
+
+/// 4x3: row 0 holds columns 0..2, rows 1..3 only column 2 (values 2, 3
+/// and 4). Rows 1..3 pad with column 0, so with x = {Inf, 1, 1} they must
+/// read 2, 3 and 4, not NaN.
+CsrMatrix matrix_padded_onto_column_zero() {
+  CooMatrix coo(4, 3);
+  coo.add(0, 0, 1.0);
+  coo.add(0, 1, 1.0);
+  coo.add(0, 2, 1.0);
+  for (index_t i = 1; i < 4; ++i) coo.add(i, 2, static_cast<value_t>(i + 1));
+  return CsrMatrix::from_coo(coo);
+}
+
+/// Padding is (pad_col, 0.0), so a non-finite x at a segment's padding
+/// column must not leak into the rows that only pad there: every layout of
+/// srvpack_layouts() equals spmv_reference with +Inf, -Inf or NaN at each
+/// segment's padding column in turn (the permuted column under CFS).
+TEST(SrvPackKernel, PaddingNeverReadsNonFiniteX) {
+  const auto layouts = srvpack_layouts();
+  const std::vector<std::pair<const char*, CsrMatrix>> fixtures = {
+      {"padded onto column 0", matrix_padded_onto_column_zero()},
+      {"empty rows", matrix_with_empty_rows()},
+      {"sparse-segment rows", matrix_with_sparse_segment_rows()},
+      {"random", random_csr(97, 61, 5.0, 31)},
+  };
+  const value_t poisons[] = {std::numeric_limits<value_t>::infinity(),
+                             -std::numeric_limits<value_t>::infinity(),
+                             std::numeric_limits<value_t>::quiet_NaN()};
+  int padded_segments = 0;  // segments that store padding at all
+  for (const auto& [name, m] : fixtures) {
+    for (const auto& [opts, sched] : layouts) {
+      const SrvPackMatrix p = SrvPackMatrix::build(m, opts);
+      for (std::size_t s = 0; s < p.segments().size(); ++s) {
+        const SrvSegment& seg = p.segments()[s];
+        if (seg.chunk_offset.back() == 0) continue;
+        const index_t pad = seg.pad_col(p.ncols());
+        const index_t col = p.has_cfs()
+                                ? p.col_order()[static_cast<std::size_t>(pad)]
+                                : pad;
+        nnz_t seg_nnz = 0;
+        for (value_t v : seg.vals) seg_nnz += v != value_t{0};
+        padded_segments += seg.stored_entries(p.c()) > seg_nnz;
+        for (value_t poison : poisons) {
+          SCOPED_TRACE(::testing::Message()
+                       << name << ", c " << opts.c << ", sigma "
+                       << opts.sigma << ", cfs " << opts.cfs << ", segment "
+                       << s << ", " << schedule_name(sched) << ", x[" << col
+                       << "] = " << poison);
+          auto x = random_vector(static_cast<std::size_t>(m.ncols()), 5);
+          x[static_cast<std::size_t>(col)] = poison;
+          expect_srvpack_matches_reference(m, p, x, sched, !opts.cfs);
+        }
+      }
+    }
+  }
+  EXPECT_GT(padded_segments, 0);
+}
+
+/// Copies `coo` into a matrix with `extra_rows` more (empty) rows, empties
+/// about a tenth of its rows, and fills one row densely, all drawn from
+/// `rng`.
+CsrMatrix with_edge_rows(const CooMatrix& coo, index_t extra_rows,
+                         Xoshiro256& rng) {
+  const index_t n = coo.nrows() + extra_rows;
+  const index_t dense_row =
+      static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+  std::vector<char> emptied(static_cast<std::size_t>(n), 0);
+  for (auto& e : emptied) e = rng.next_below(10) == 0;
+  emptied[static_cast<std::size_t>(dense_row)] = 1;
+  CooMatrix out(n, coo.ncols());
+  for (const Triplet& t : coo.entries()) {
+    if (!emptied[static_cast<std::size_t>(t.row)]) out.add(t.row, t.col, t.val);
+  }
+  for (index_t col = 0; col < coo.ncols(); ++col) {
+    out.add(dense_row, col, 0.25 + rng.next_double());
+  }
+  out.canonicalize();
+  return CsrMatrix::from_coo(out);
+}
+
+/// Randomized differential test: seeded generator matrices (each with
+/// empty rows, one dense row and a row count that is no multiple of 4 or
+/// 8) and tiny matrices with fewer nonzeros than threads. Every SELLPACK,
+/// Sell-c-σ and Sell-c-R configuration equals spmv_reference bit for bit,
+/// and LAV-1Seg and LAV match it to rounding, under plans for 1, 2 and 8
+/// threads.
+TEST(SrvPackKernel, RandomizedMatchesReference) {
+  std::vector<std::pair<std::string, CsrMatrix>> fixtures;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256 rng(seed);
+    const auto n = static_cast<index_t>(64 + rng.next_below(400));
+    CooMatrix coo;
+    std::string name;
+    switch (seed % 4) {
+      case 0:
+        coo = generate_rmat(rmat_class_params(RmatClass::kHighSkew, n, 6.0),
+                            seed);
+        name = "rmat-hs";
+        break;
+      case 1:
+        coo = generate_rgg(n, 8.0, seed);
+        name = "rgg";
+        break;
+      case 2:
+        coo = generate_banded(n, 9, 0.6, seed);
+        name = "banded";
+        break;
+      default:
+        coo = generate_road_like(n, seed);
+        name = "road";
+        break;
+    }
+    // Extra empty rows keep the row count off every multiple of 4 (and 8).
+    auto extra = static_cast<index_t>(1 + rng.next_below(3));
+    while ((coo.nrows() + extra) % 4 == 0) ++extra;
+    fixtures.emplace_back(name + "/" + std::to_string(seed),
+                          with_edge_rows(coo, extra, rng));
+  }
+  {
+    CooMatrix one(3, 3);  // 1 nonzero
+    one.add(2, 1, 1.5);
+    fixtures.emplace_back("1 nonzero", CsrMatrix::from_coo(one));
+    CooMatrix five(13, 11);  // 5 nonzeros in 13 rows
+    for (index_t t = 0; t < 5; ++t) five.add(3 * t, (7 * t) % 11, 0.5 + t);
+    five.canonicalize();
+    fixtures.emplace_back("5 nonzeros", CsrMatrix::from_coo(five));
+  }
+
+  const auto configs = all_method_configs();
+  for (const auto& [name, m] : fixtures) {
+    ASSERT_NE(m.nrows() % 4, 0) << name;
+    const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 77);
+    for (const auto& cfg : configs) {
+      if (cfg.kind == MethodKind::kCsr) continue;
+      SCOPED_TRACE(::testing::Message() << name << ", " << cfg.name());
+      const SrvPackMatrix p = SrvPackMatrix::build(m, cfg.srv_options());
+      expect_srvpack_matches_reference(m, p, x, cfg.sched,
+                                       equals_reference_exactly(cfg.kind));
+    }
+  }
 }
 
 // ------------------------------------------------------------ executor ----
